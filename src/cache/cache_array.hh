@@ -157,18 +157,20 @@ class CacheArray
 
     /**
      * Find the way holding @p line_addr. Scans only the packed tag
-     * column; invalid ways hold a sentinel tag that cannot match a
-     * real line address.
+     * column; invalid ways hold a sentinel tag, which only the
+     * topmost line of a 1-byte-line array (byte 2^64 - 1) can equal,
+     * so a sentinel match also needs the valid bit.
      * @retval way index when present, std::nullopt on miss
      */
     std::optional<std::uint32_t>
     findWay(Addr line_addr) const
     {
-        const Addr *t = &tags_[static_cast<std::size_t>(line_addr &
-                                                        (sets_ - 1)) *
-                               assoc_];
+        const std::size_t base =
+            static_cast<std::size_t>(line_addr & (sets_ - 1)) * assoc_;
+        const Addr *t = &tags_[base];
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-            if (t[w] == line_addr)
+            if (t[w] == line_addr &&
+                (line_addr != invalidTag || flagged(base + w, kValid)))
                 return w;
         }
         return std::nullopt;
@@ -253,7 +255,10 @@ class CacheArray
     static constexpr std::uint8_t kTemporal = 1u << 2;
     static constexpr std::uint8_t kPrefetched = 1u << 3;
 
-    /** Tag stored in empty ways; no real line address equals it. */
+    /**
+     * Tag stored in empty ways. Only line 2^64 - 1 of a 1-byte-line
+     * array equals it; findWay() checks the valid bit for that one.
+     */
     static constexpr Addr invalidTag = ~static_cast<Addr>(0);
 
     std::size_t flatIndex(std::uint32_t set, std::uint32_t way) const;

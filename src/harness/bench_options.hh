@@ -35,7 +35,8 @@ struct BenchOptions
     /**
      * --intra-jobs N: workers per cell for intra-trace parallelism
      * (live-point window replay, set-sharded stack passes). 0 = auto:
-     * shard only when the sweep has fewer cells than --jobs workers.
+     * window replay shards only when the sweep has fewer cells than
+     * --jobs workers; stack passes shard only on an explicit N.
      * Results are bit-identical at any value.
      */
     unsigned intraJobs = 0;

@@ -336,17 +336,21 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
                       bool allow_stack, unsigned intra_jobs)
 {
     const auto sweep_start = std::chrono::steady_clock::now();
-    // Per-worker busy time: summed wall time of the cell tasks
-    // (nanoseconds so workers can accumulate without a double CAS).
+    // Per-worker busy time: summed wall time of the pass and cell
+    // tasks (nanoseconds so workers can accumulate without a double
+    // CAS).
     std::atomic<std::uint64_t> busy_ns{0};
-    const auto timed_cell = [this, &busy_ns](const Workload &w,
-                                             const core::Config &cfg) {
+    const auto timed = [&busy_ns](const auto &work) {
         const auto t0 = std::chrono::steady_clock::now();
-        run(w, cfg);
+        work();
         busy_ns.fetch_add(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count()));
+    };
+    const auto timed_cell = [this, &timed](const Workload &w,
+                                           const core::Config &cfg) {
+        timed([&] { run(w, cfg); });
     };
 
     // Partition into the stack family — served by one single-pass
@@ -366,45 +370,47 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
             exact.push_back(&cfg);
     }
 
-    if (!family.empty()) {
-        // Stack passes run serially on this thread: each is already a
-        // whole-family batch, and the counter registry is
-        // single-threaded by design.
-        for (const auto &w : workloads) {
-            const auto t0 = std::chrono::steady_clock::now();
-            runStackFamily(w, family, intra_jobs);
-            busy_ns.fetch_add(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
-        if (!exact.empty()) {
-            std::lock_guard<std::mutex> lock(stackMutex_);
-            stackCounters_.counter("stack.pass.fallback_cells",
-                                   "cells exact-replayed in "
-                                   "stack-dispatched sweeps") +=
-                workloads.size() * exact.size();
-        }
+    if (!family.empty() && !exact.empty()) {
+        std::lock_guard<std::mutex> lock(stackMutex_);
+        stackCounters_.counter("stack.pass.fallback_cells",
+                               "cells exact-replayed in "
+                               "stack-dispatched sweeps") +=
+            workloads.size() * exact.size();
     }
+    const auto timed_pass = [this, &timed, &family,
+                             intra_jobs](const Workload &w) {
+        timed([&] { runStackFamily(w, family, intra_jobs); });
+    };
 
+    const std::size_t n_passes = family.empty() ? 0 : workloads.size();
     const std::size_t n_exact = workloads.size() * exact.size();
-    if (jobs > 1 && n_exact > 1) {
-        // Simulate every exact cell concurrently. run() latches each
-        // trace and each result exactly once, so racing cells block
-        // on the first producer instead of duplicating work. The
-        // futures re-raise any exception a cell threw.
+    if (jobs > 1 && n_passes + n_exact > 1) {
+        // One pool runs the stack passes (one task per workload,
+        // submitted first so the longest trace starts at once) and
+        // every exact cell. Passes over different workloads share
+        // nothing but the mutex-guarded stack store; run() latches
+        // each trace and each result exactly once, so racing cells
+        // block on the first producer instead of duplicating work.
+        // The futures re-raise any exception a task threw.
         util::ThreadPool pool(jobs);
-        std::vector<std::future<void>> cells;
-        cells.reserve(n_exact);
+        std::vector<std::future<void>> tasks;
+        tasks.reserve(n_passes + n_exact);
+        for (std::size_t i = 0; i < n_passes; ++i) {
+            const Workload &w = workloads[i];
+            tasks.push_back(
+                pool.submit([&timed_pass, &w] { timed_pass(w); }));
+        }
         for (const auto &w : workloads) {
             for (const core::Config *cfg : exact) {
-                cells.push_back(pool.submit(
+                tasks.push_back(pool.submit(
                     [&timed_cell, &w, cfg] { timed_cell(w, *cfg); }));
             }
         }
-        for (auto &cell : cells)
-            cell.get();
+        for (auto &task : tasks)
+            task.get();
     } else {
+        for (std::size_t i = 0; i < n_passes; ++i)
+            timed_pass(workloads[i]);
         for (const auto &w : workloads) {
             for (const core::Config *cfg : exact)
                 timed_cell(w, *cfg);

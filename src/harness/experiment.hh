@@ -163,11 +163,12 @@ class Runner
      * (stackDerivableMetric()) and at least two configurations form a
      * stack family (stackFamilyEligible()), the family's cells are
      * served by ONE single-pass Mattson stack traversal per workload
-     * (sim::StackDistanceEngine) instead of per-config replays; the
-     * remaining configurations fall back to exact replay. Stack miss
-     * counts are bit-identical to replay (the StackDifferential tests
-     * prove it), so the rendered table stays byte-identical to
-     * matrix() either way. Stack-derived stats live in their own
+     * (sim::StackDistanceEngine) instead of per-config replays, the
+     * workloads' passes running as tasks on the same @p jobs pool as
+     * the exact cells; the remaining configurations fall back to
+     * exact replay. Stack miss counts are bit-identical to replay
+     * (the StackDifferential tests prove it), so the rendered table
+     * stays byte-identical to matrix() either way. Stack-derived stats live in their own
      * store, never the exact cell cache, and the pass is accounted
      * under the "stack.pass.*" counters (stackCounter()).
      */
@@ -326,11 +327,12 @@ class Runner
     /**
      * Run one stack pass over @p w covering the whole @p family,
      * storing per-config stats for any member not already in the
-     * stack store. Called from the sweep's issuing thread;
+     * stack store. Thread-safe: runMatrixWith() runs one call per
+     * workload on the sweep pool, and a per-workload pass mutex makes
+     * concurrent calls for one workload share a single traversal.
      * @p intra_jobs > 1 splits the pass into that many set-shard
      * slices (sim::StackDistanceEngine shard mode) run concurrently
-     * and absorbed in shard order — bit-identical counts, one
-     * traversal's wall time divided across cores.
+     * and absorbed in shard order — bit-identical counts.
      */
     void runStackFamily(const Workload &w,
                         const std::vector<const core::Config *> &family,

@@ -436,18 +436,18 @@ Runner::run(const SweepRequest &request)
         return r;
     };
 
-    // Intra-trace workers per cell: an explicit request wins; auto
-    // shards only when the cell count cannot keep every sweep worker
-    // busy, splitting the leftover concurrency across cells.
-    const std::size_t n_cells = n_w * n_c;
-    const unsigned intra =
-        request.intraJobs > 0
-            ? request.intraJobs
-            : ((request.jobs > 1 && n_cells < request.jobs)
-                   ? request.jobs / static_cast<unsigned>(n_cells)
-                   : 1);
-
     if (sampled) {
+        // Window-replay workers per cell: an explicit request wins;
+        // auto shards only when the cell count cannot keep every
+        // sweep worker busy, splitting the leftover concurrency
+        // across cells.
+        const std::size_t n_cells = n_w * n_c;
+        const unsigned intra =
+            request.intraJobs > 0
+                ? request.intraJobs
+                : ((request.jobs > 1 && n_cells < request.jobs)
+                       ? request.jobs / static_cast<unsigned>(n_cells)
+                       : 1);
         const auto cells = runSampled(
             request.workloads, request.configs, request.sampling,
             request.jobs,
@@ -514,10 +514,16 @@ Runner::run(const SweepRequest &request)
     }
 
     // Exact path (Auto routes stack families; Exact forbids them).
+    // Stack passes shard only on an explicit request: set shards each
+    // re-read the whole stream, so a slice costs more per record than
+    // one unsharded pass, and the sweep pool already runs one pass
+    // per workload concurrently.
     const bool allow_stack = request.engine != EngineSelect::Exact;
+    const unsigned stack_intra =
+        request.intraJobs > 0 ? request.intraJobs : 1;
     out.table = runMatrixWith(request.workloads, request.configs,
                               request.metric, request.jobs,
-                              allow_stack, intra);
+                              allow_stack, stack_intra);
     out.timing = lastSweep();
 
     // Stack passes that ran set-sharded carry their own "parallel"
@@ -525,7 +531,7 @@ Runner::run(const SweepRequest &request)
     util::Json par = util::Json::object();
     const bool ran_sharded = parallelCounter("parallel.shards") > 0;
     if (ran_sharded) {
-        par.set("intra_jobs", static_cast<std::uint64_t>(intra));
+        par.set("intra_jobs", static_cast<std::uint64_t>(stack_intra));
         for (const char *key :
              {"parallel.shards", "parallel.merge_ns"}) {
             par.set(std::string(key).substr(9), parallelCounter(key));

@@ -181,10 +181,10 @@ struct SweepRequest
 
     /**
      * Workers per cell for intra-trace parallelism: live-point window
-     * replay and set-sharded stack passes. 0 = auto (shard only when
-     * the cell count cannot keep all @ref jobs workers busy,
-     * intra = jobs / cells); 1 = serial. Results are bit-identical
-     * either way.
+     * replay and set-sharded stack passes. 0 = auto (window replay
+     * shards only when the cell count cannot keep all @ref jobs
+     * workers busy, intra = jobs / cells; stack passes never shard);
+     * 1 = serial. Results are bit-identical either way.
      */
     unsigned intraJobs = 0;
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <list>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -66,8 +67,29 @@ SweepServer::start()
 void
 SweepServer::acceptLoop()
 {
-    std::vector<std::thread> handlers;
+    // One entry per connection handler; list nodes stay put, so a
+    // handler can flag its own completion through a reference.
+    struct Handler
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Handler> handlers;
+    // Join finished handlers (all of them when @p everything), so a
+    // long-lived daemon holds threads only for live connections.
+    const auto reap = [this, &handlers](bool everything) {
+        for (auto it = handlers.begin(); it != handlers.end();) {
+            if (!everything && !it->done.load()) {
+                ++it;
+                continue;
+            }
+            it->thread.join();
+            it = handlers.erase(it);
+            --unjoinedHandlers_;
+        }
+    };
     while (!stopping_.load()) {
+        reap(false);
         pollfd pfd{listenFd_, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, 50);
         if (ready <= 0)
@@ -75,11 +97,14 @@ SweepServer::acceptLoop()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
-        handlers.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        Handler &h = handlers.emplace_back();
+        ++unjoinedHandlers_;
+        h.thread = std::thread([this, fd, &done = h.done] {
+            handleConnection(fd);
+            done.store(true);
+        });
     }
-    for (auto &t : handlers)
-        t.join();
+    reap(true);
 }
 
 void

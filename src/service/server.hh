@@ -107,6 +107,16 @@ class SweepServer
     /** metricsSnapshot() in Prometheus text exposition ("sacd_..."). */
     std::string prometheusText() const;
 
+    /**
+     * Connection handler threads started but not yet joined. The
+     * accept loop joins finished handlers as it goes, so this stays
+     * near the number of live connections; 0 after drain().
+     */
+    std::size_t unjoinedHandlers() const
+    {
+        return unjoinedHandlers_.load();
+    }
+
   private:
     /** One admitted sweep: request plus its client connection. */
     struct Job
@@ -133,6 +143,7 @@ class SweepServer
     std::unique_ptr<util::ThreadPool> pool_;
 
     int listenFd_ = -1;
+    std::atomic<std::size_t> unjoinedHandlers_{0};
     std::thread acceptThread_;
     std::atomic<bool> stopping_{false};
     std::atomic<bool> shutdownRequested_{false};

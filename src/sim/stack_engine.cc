@@ -16,11 +16,20 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+inline std::uint32_t
+log2Of(std::uint64_t v)
+{
+    std::uint32_t shift = 0;
+    while ((std::uint64_t{1} << shift) < v)
+        ++shift;
+    return shift;
+}
+
 /** splitmix64 finalizer: a full-avalanche mix for table probing. */
 inline std::size_t
-mixLine(Addr line)
+mixBlock(std::uint64_t block)
 {
-    std::uint64_t x = line;
+    std::uint64_t x = block;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return static_cast<std::size_t>(x ^ (x >> 31));
@@ -41,13 +50,14 @@ StackPoint::wellFormed() const
 }
 
 /**
- * The recency tracker of one (lineBytes, sets) pair: per-set
- * intrusive LRU lists truncated at the deepest associativity any
- * lattice point needs, over a flat open-addressing hash of
- * line -> node. A hit at list position d (1-based from the MRU end)
- * lands in depthCount_[d]; first touches are compulsory, touches of
- * lines evicted past the cap are "deep" (distance > cap), and both
- * miss at every tracked associativity.
+ * The recency tracker of one (lineBytes, sets) pair: per set, a way
+ * array of the maxAssoc most recently used line addresses in MRU
+ * order plus its fill length. A hit at array position d (1-based
+ * from the MRU end) lands in depthCount_[d]; a line not in the array
+ * — a first touch, or a reuse at stack distance > maxAssoc — lands
+ * in beyond_, a miss at every tracked associativity. Only the first
+ * length_ slots of a set are ever compared, so the zero-filled tail
+ * of a partly filled set never reads as a resident line 0.
  */
 class StackDistanceEngine::Profiler
 {
@@ -58,50 +68,43 @@ class StackDistanceEngine::Profiler
           sets_(sets),
           maxAssoc_(max_assoc),
           setMask_(sets - 1),
-          depthCount_(static_cast<std::size_t>(max_assoc) + 1, 0),
-          head_(static_cast<std::size_t>(sets), npos),
-          tail_(static_cast<std::size_t>(sets), npos),
-          length_(static_cast<std::size_t>(sets), 0)
+          shift_(log2Of(line_bytes)),
+          ways_(static_cast<std::size_t>(sets) * max_assoc, 0),
+          length_(static_cast<std::size_t>(sets), 0),
+          depthCount_(static_cast<std::size_t>(max_assoc) + 1, 0)
     {
         SAC_ASSERT(isPowerOfTwo(line_bytes),
                    "line size must be a power of two");
         SAC_ASSERT(isPowerOfTwo(sets),
                    "set count must be a power of two");
         SAC_ASSERT(max_assoc >= 1, "need at least one way");
-        shift_ = 0;
-        while ((1ull << shift_) < line_bytes)
-            ++shift_;
-        table_.resize(1024);
-        mask_ = table_.size() - 1;
     }
 
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint64_t sets() const { return sets_; }
     std::uint32_t maxAssoc() const { return maxAssoc_; }
-    std::uint64_t touched() const { return touched_; }
+    std::uint32_t shift() const { return shift_; }
 
     /** Raise the tracked depth (pre-pass only: nothing fed yet). */
     void
     widen(std::uint32_t max_assoc)
     {
-        SAC_ASSERT(touched_ == 0, "widen() after feeding");
         if (max_assoc > maxAssoc_) {
             maxAssoc_ = max_assoc;
-            depthCount_.assign(
-                static_cast<std::size_t>(max_assoc) + 1, 0);
+            ways_.assign(static_cast<std::size_t>(sets_) * max_assoc, 0);
+            depthCount_.assign(static_cast<std::size_t>(max_assoc) + 1,
+                               0);
         }
     }
 
     /**
      * Restrict this profiler to the sets with index % @p shards ==
-     * @p shard (pre-pass only). Sets outside the shard are ignored
-     * entirely, so the per-set lists and the line table hold only the
-     * shard's share of the footprint.
+     * @p shard (pre-pass only). Accesses to other sets are ignored
+     * entirely.
      */
     void
     restrictToShard(unsigned shard, unsigned shards)
     {
-        SAC_ASSERT(touched_ == 0, "restrictToShard() after feeding");
         SAC_ASSERT(shards >= 1 && shard < shards,
                    "shard index outside the shard count");
         shard_ = shard;
@@ -119,47 +122,42 @@ class StackDistanceEngine::Profiler
         SAC_ASSERT(lineBytes_ == o.lineBytes_ && sets_ == o.sets_ &&
                        maxAssoc_ == o.maxAssoc_,
                    "absorb() across different profiler geometries");
-        compulsory_ += o.compulsory_;
-        deep_ += o.deep_;
-        touched_ += o.touched_;
+        beyond_ += o.beyond_;
         for (std::size_t d = 0; d < depthCount_.size(); ++d)
             depthCount_[d] += o.depthCount_[d];
     }
 
+    /** Profile one reference to line address @p line. */
     void
-    access(Addr byte_addr)
+    access(Addr line)
     {
-        const Addr line = byte_addr >> shift_;
+        const std::uint64_t set = line & setMask_;
         // Sharded pass: sets outside this slice belong to another
         // worker's profiler; skipping them here is the whole
         // decomposition (per-set stacks never interact).
-        if (shards_ > 1 && (line & setMask_) % shards_ != shard_)
+        if (shards_ > 1 && set % shards_ != shard_)
             return;
-        bool inserted = false;
-        const std::size_t slot = findOrInsert(line, inserted);
-        if (inserted) {
-            ++compulsory_;
-            table_[slot].node = pushFront(line);
-            return;
+        Addr *const way = &ways_[set * maxAssoc_];
+        std::uint32_t &len = length_[set];
+        std::uint32_t pos = 0;
+        while (pos < len && way[pos] != line)
+            ++pos;
+        if (pos < len) {
+            // Resident within the top maxAssoc_: its 1-based position
+            // in the way array is the stack distance.
+            ++depthCount_[pos + 1];
+        } else {
+            // First touch or distance > maxAssoc_: a miss at every
+            // associativity this profiler answers. A full set drops
+            // its LRU way below.
+            ++beyond_;
+            if (len < maxAssoc_)
+                ++len;
+            pos = len - 1;
         }
-        const std::uint32_t n = table_[slot].node;
-        if (n == npos) {
-            // Seen before, but evicted past the tracked depth: the
-            // stack distance exceeds maxAssoc_, a miss at every
-            // associativity this profiler answers.
-            ++deep_;
-            table_[slot].node = pushFront(line);
-            return;
-        }
-        // Resident within the top maxAssoc_: its 1-based position in
-        // the set's list is the stack distance.
-        const std::uint64_t set = line & setMask_;
-        std::uint32_t depth = 1;
-        for (std::uint32_t cur = head_[set]; cur != n;
-             cur = nodes_[cur].next)
-            ++depth;
-        ++depthCount_[depth];
-        moveToFront(n, set);
+        for (; pos > 0; --pos)
+            way[pos] = way[pos - 1];
+        way[0] = line;
     }
 
     /** Misses of an @p assoc-way cache (assoc <= maxAssoc()). */
@@ -168,162 +166,146 @@ class StackDistanceEngine::Profiler
     {
         SAC_ASSERT(assoc >= 1 && assoc <= maxAssoc_,
                    "associativity outside the tracked depth");
-        std::uint64_t misses = compulsory_ + deep_;
+        std::uint64_t misses = beyond_;
         for (std::uint32_t d = assoc + 1; d <= maxAssoc_; ++d)
             misses += depthCount_[d];
         return misses;
     }
 
   private:
-    static constexpr std::uint32_t npos = 0xffffffffu;
+    std::uint32_t lineBytes_;
+    std::uint64_t sets_;
+    std::uint32_t maxAssoc_;
+    std::uint64_t setMask_;
+    std::uint32_t shift_;
 
-    /** One table slot: a touched line and its list residence. */
-    struct Slot
-    {
-        Addr line = 0;
-        std::uint32_t node = npos;
-        bool used = false;
-    };
+    std::vector<Addr> ways_;                //!< sets x maxAssoc_, MRU first
+    std::vector<std::uint32_t> length_;     //!< filled ways per set
+    std::vector<std::uint64_t> depthCount_; //!< hits at distance d
+    std::uint64_t beyond_ = 0; //!< first touches + distance > maxAssoc_
 
-    /** One pool entry of a per-set intrusive LRU list. */
-    struct Node
-    {
-        Addr line = 0;
-        std::uint32_t prev = npos;
-        std::uint32_t next = npos;
-    };
+    // Set-shard slice (restrictToShard); 0-of-1 profiles every set.
+    unsigned shard_ = 0;
+    unsigned shards_ = 1;
+};
 
-    std::size_t
-    findOrInsert(Addr line, bool &inserted)
+/**
+ * Exact distinct-line count at one line size, shared by every
+ * profiler at that size: a bitmap over the line address space in
+ * 512-line blocks, the blocks found through an open-addressing table
+ * keyed by block number, with the most recent block cached because
+ * consecutive references mostly fall in the same block. In a sharded
+ * pass it counts only the lines whose set, in the first profiler's
+ * set space at this line size, belongs to the slice, so the slices'
+ * counts sum to the unsharded count.
+ */
+class StackDistanceEngine::LineCounter
+{
+  public:
+    LineCounter(std::uint32_t line_bytes, std::uint64_t sets)
+        : lineBytes_(line_bytes),
+          shift_(log2Of(line_bytes)),
+          setMask_(sets - 1),
+          table_(64)
     {
-        std::size_t i = mixLine(line) & mask_;
-        while (table_[i].used) {
-            if (table_[i].line == line) {
-                inserted = false;
-                return i;
-            }
-            i = (i + 1) & mask_;
-        }
-        inserted = true;
-        ++touched_;
-        if (touched_ * 4 > table_.size() * 3) {
-            grow();
-            i = mixLine(line) & mask_;
-            while (table_[i].used)
-                i = (i + 1) & mask_;
-        }
-        table_[i].used = true;
-        table_[i].line = line;
-        table_[i].node = npos;
-        return i;
     }
 
-    std::size_t
-    find(Addr line) const
+    std::uint32_t lineBytes() const { return lineBytes_; }
+    std::uint32_t shift() const { return shift_; }
+    std::uint64_t touched() const { return touched_; }
+
+    void
+    restrictToShard(unsigned shard, unsigned shards)
     {
-        std::size_t i = mixLine(line) & mask_;
-        while (!(table_[i].used && table_[i].line == line))
-            i = (i + 1) & mask_;
+        shard_ = shard;
+        shards_ = shards;
+    }
+
+    void absorb(const LineCounter &o) { touched_ += o.touched_; }
+
+    /** Count @p line if this is its first reference. */
+    void
+    touch(Addr line)
+    {
+        if (shards_ > 1 && (line & setMask_) % shards_ != shard_)
+            return;
+        const std::uint64_t block = line >> blockShift;
+        if (block != lastBlock_) {
+            lastWords_ = wordsOf(block);
+            lastBlock_ = block;
+        }
+        std::uint64_t &word = bits_[lastWords_ + ((line >> 6) & 7)];
+        const std::uint64_t bit = std::uint64_t{1} << (line & 63);
+        if (!(word & bit)) {
+            word |= bit;
+            ++touched_;
+        }
+    }
+
+  private:
+    static constexpr std::uint32_t blockShift = 9; //!< 512 lines
+    static constexpr std::size_t blockWords = 8;   //!< 512 bits
+    /** Never a block number: line >> blockShift < 2^55. */
+    static constexpr std::uint64_t emptyBlock = ~std::uint64_t{0};
+
+    /** One table slot: a block number and its first bitmap word. */
+    struct Entry
+    {
+        std::uint64_t block = emptyBlock;
+        std::size_t words = 0;
+    };
+
+    /** Index of @p block's first bitmap word, allocating on miss. */
+    std::size_t
+    wordsOf(std::uint64_t block)
+    {
+        std::size_t i = slotOf(block);
+        if (table_[i].block == block)
+            return table_[i].words;
+        if ((blocks_ + 1) * 4 > table_.size() * 3) {
+            grow();
+            i = slotOf(block);
+        }
+        table_[i] = {block, bits_.size()};
+        bits_.resize(bits_.size() + blockWords, 0);
+        ++blocks_;
+        return table_[i].words;
+    }
+
+    /** @p block's table slot, or the empty slot it would take. */
+    std::size_t
+    slotOf(std::uint64_t block) const
+    {
+        const std::size_t mask = table_.size() - 1;
+        std::size_t i = mixBlock(block) & mask;
+        while (table_[i].block != emptyBlock && table_[i].block != block)
+            i = (i + 1) & mask;
         return i;
     }
 
     void
     grow()
     {
-        std::vector<Slot> old;
+        std::vector<Entry> old(table_.size() * 2);
         old.swap(table_);
-        table_.resize(old.size() * 2);
-        mask_ = table_.size() - 1;
-        for (const Slot &s : old) {
-            if (!s.used)
-                continue;
-            std::size_t i = mixLine(s.line) & mask_;
-            while (table_[i].used)
-                i = (i + 1) & mask_;
-            table_[i] = s;
+        for (const Entry &e : old) {
+            if (e.block != emptyBlock)
+                table_[slotOf(e.block)] = e;
         }
-    }
-
-    /**
-     * Put @p line at the MRU end of its set, evicting the set's LRU
-     * node past the cap when the list is full (the evicted line keeps
-     * its hash entry, marked deep). Returns the node used.
-     */
-    std::uint32_t
-    pushFront(Addr line)
-    {
-        const std::uint64_t set = line & setMask_;
-        std::uint32_t n;
-        if (length_[set] == maxAssoc_) {
-            n = tail_[set];
-            table_[find(nodes_[n].line)].node = npos;
-            unlink(n, set);
-        } else {
-            n = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.push_back({});
-            ++length_[set];
-        }
-        nodes_[n].line = line;
-        linkFront(n, set);
-        return n;
-    }
-
-    void
-    moveToFront(std::uint32_t n, std::uint64_t set)
-    {
-        if (head_[set] == n)
-            return;
-        unlink(n, set);
-        linkFront(n, set);
-    }
-
-    void
-    linkFront(std::uint32_t n, std::uint64_t set)
-    {
-        nodes_[n].prev = npos;
-        nodes_[n].next = head_[set];
-        if (head_[set] != npos)
-            nodes_[head_[set]].prev = n;
-        head_[set] = n;
-        if (tail_[set] == npos)
-            tail_[set] = n;
-    }
-
-    void
-    unlink(std::uint32_t n, std::uint64_t set)
-    {
-        const std::uint32_t p = nodes_[n].prev;
-        const std::uint32_t x = nodes_[n].next;
-        if (p != npos)
-            nodes_[p].next = x;
-        else
-            head_[set] = x;
-        if (x != npos)
-            nodes_[x].prev = p;
-        else
-            tail_[set] = p;
     }
 
     std::uint32_t lineBytes_;
-    std::uint64_t sets_;
-    std::uint32_t maxAssoc_;
+    std::uint32_t shift_;
     std::uint64_t setMask_;
-    std::uint32_t shift_ = 0;
 
-    std::vector<Slot> table_; //!< power-of-two open addressing
-    std::size_t mask_ = 0;
-    std::vector<Node> nodes_; //!< shared pool; <= sets * maxAssoc
-    std::vector<std::uint64_t> depthCount_; //!< hits at distance d
-    std::uint64_t compulsory_ = 0;          //!< first touches
-    std::uint64_t deep_ = 0; //!< reuses at distance > maxAssoc_
+    std::vector<Entry> table_;        //!< power-of-two open addressing
+    std::vector<std::uint64_t> bits_; //!< blockWords per block
+    std::size_t blocks_ = 0;
+    std::uint64_t lastBlock_ = emptyBlock;
+    std::size_t lastWords_ = 0;
     std::uint64_t touched_ = 0;
 
-    // Per-set truncated LRU lists over the node pool.
-    std::vector<std::uint32_t> head_;
-    std::vector<std::uint32_t> tail_;
-    std::vector<std::uint32_t> length_;
-
-    // Set-shard slice (restrictToShard); 0-of-1 profiles every set.
+    // Set-shard slice (restrictToShard); 0-of-1 counts every line.
     unsigned shard_ = 0;
     unsigned shards_ = 1;
 };
@@ -348,6 +330,8 @@ StackDistanceEngine::StackDistanceEngine(
             existing->widen(p.assoc);
         else
             profilers_.emplace_back(p.lineBytes, p.sets(), p.assoc);
+        if (!lineCounterOf(p.lineBytes))
+            counters_.emplace_back(p.lineBytes, p.sets());
     }
 }
 
@@ -362,6 +346,8 @@ StackDistanceEngine::StackDistanceEngine(
     shards_ = shards;
     for (Profiler &prof : profilers_)
         prof.restrictToShard(shard, shards);
+    for (LineCounter &counter : counters_)
+        counter.restrictToShard(shard, shards);
 }
 
 void
@@ -377,6 +363,8 @@ StackDistanceEngine::absorb(const StackDistanceEngine &other)
                "absorb() across different lattices");
     for (std::size_t i = 0; i < profilers_.size(); ++i)
         profilers_[i].absorb(other.profilers_[i]);
+    for (std::size_t i = 0; i < counters_.size(); ++i)
+        counters_[i].absorb(other.counters_[i]);
 }
 
 StackDistanceEngine::~StackDistanceEngine() = default;
@@ -389,14 +377,23 @@ void
 StackDistanceEngine::feed(const trace::Record *recs, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        const trace::Record &rec = recs[i];
-        ++accesses_;
-        if (rec.isRead())
+        if (recs[i].isRead())
             ++reads_;
-        else
-            ++writes_;
-        for (Profiler &prof : profilers_)
-            prof.access(rec.addr);
+    }
+    accesses_ += n;
+    writes_ = accesses_ - reads_;
+    // Profiler-major over the chunk: one tracker's way arrays stay hot
+    // for all n records instead of every tracker being revisited per
+    // record. Trackers never interact, so the order changes nothing.
+    for (LineCounter &counter : counters_) {
+        const std::uint32_t shift = counter.shift();
+        for (std::size_t i = 0; i < n; ++i)
+            counter.touch(recs[i].addr >> shift);
+    }
+    for (Profiler &prof : profilers_) {
+        const std::uint32_t shift = prof.shift();
+        for (std::size_t i = 0; i < n; ++i)
+            prof.access(recs[i].addr >> shift);
     }
 }
 
@@ -420,6 +417,16 @@ StackDistanceEngine::profilerOf(std::uint32_t line_bytes,
     for (const Profiler &prof : profilers_) {
         if (prof.lineBytes() == line_bytes && prof.sets() == sets)
             return &prof;
+    }
+    return nullptr;
+}
+
+const StackDistanceEngine::LineCounter *
+StackDistanceEngine::lineCounterOf(std::uint32_t line_bytes) const
+{
+    for (const LineCounter &counter : counters_) {
+        if (counter.lineBytes() == line_bytes)
+            return &counter;
     }
     return nullptr;
 }
@@ -453,12 +460,9 @@ StackDistanceEngine::missRatio(const StackPoint &p) const
 std::uint64_t
 StackDistanceEngine::touchedLines(std::uint32_t line_bytes) const
 {
-    for (const Profiler &prof : profilers_) {
-        if (prof.lineBytes() == line_bytes)
-            return prof.touched();
-    }
-    SAC_ASSERT(false, "no profiler at this line granularity");
-    return 0;
+    const LineCounter *counter = lineCounterOf(line_bytes);
+    SAC_ASSERT(counter, "no profiler at this line granularity");
+    return counter->touched();
 }
 
 } // namespace sim

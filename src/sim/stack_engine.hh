@@ -14,14 +14,17 @@
  * one recency structure, and a size x assoc sweep collapses to a
  * handful of structures updated in a single pass.
  *
- * The recency structure is the compressed-bucket variant: per-set
- * intrusive LRU lists truncated at the largest associativity any
- * lattice point asks of that (line, sets) pair, over a flat
- * open-addressing hash of line -> list node (the sim::MissClassifier
- * idiom). A line evicted from the truncated list keeps its hash entry
- * with a "seen but deep" marker, so distances beyond the cap and
- * compulsory first touches stay distinguishable while the per-access
- * cost stays O(cap) worst case and O(1) amortized.
+ * The recency structure is a per-set way array: each set of a
+ * (line size, set count) pair holds the line addresses of its
+ * maxAssoc most recently used lines in MRU order, maxAssoc being the
+ * largest associativity any lattice point asks of that pair. A hit's
+ * position in the array is its stack distance; a line not in the
+ * array (a first touch, or a reuse deeper than maxAssoc) misses at
+ * every tracked associativity. With the few ways real lattices use,
+ * a set is a short contiguous scan and needs neither a hash table
+ * nor a linked list, and sets never interact. Distinct lines
+ * (touchedLines()) are counted once per line size in a block bitmap,
+ * not per structure.
  *
  * Scope: the engine models exactly what the simulator's Standard
  * feature path does to the main array — one physical line per access,
@@ -164,12 +167,17 @@ class StackDistanceEngine
 
   private:
     class Profiler;
+    class LineCounter;
 
     /** The profiler covering (@p line_bytes, @p sets), or nullptr. */
     const Profiler *profilerOf(std::uint32_t line_bytes,
                                std::uint64_t sets) const;
 
+    /** The distinct-line counter at @p line_bytes, or nullptr. */
+    const LineCounter *lineCounterOf(std::uint32_t line_bytes) const;
+
     std::vector<Profiler> profilers_;
+    std::vector<LineCounter> counters_; //!< one per line size
     std::uint64_t accesses_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

@@ -56,6 +56,21 @@ TEST(CacheArray, InsertAndFind)
     EXPECT_EQ(c.validCount(), 1u);
 }
 
+TEST(CacheArray, TopmostOneByteLineIsNotAnEmptyWay)
+{
+    // With 1-byte lines, byte 2^64 - 1 is line 2^64 - 1, the same
+    // value empty ways store as their tag: it must still miss until
+    // inserted.
+    CacheArray c(16, 1, 2);
+    const Addr top = ~Addr{0};
+    EXPECT_EQ(c.lineAddrOf(top), top);
+    EXPECT_FALSE(c.contains(top));
+    c.insert(top, ReplacementPolicy::Lru);
+    ASSERT_TRUE(c.find(top).has_value());
+    EXPECT_EQ(c.find(top)->lineAddr(), top);
+    EXPECT_EQ(c.validCount(), 1u);
+}
+
 TEST(CacheArray, DirectMappedConflictEvicts)
 {
     CacheArray c(8192, 32, 1);

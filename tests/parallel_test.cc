@@ -11,7 +11,9 @@
  * completion cycle), and Runner::run() with intraJobs > 1 must
  * produce the same tables and manifests (modulo the wall-clock
  * "timing" object) as intraJobs == 1 while counting its work in the
- * parallel.* counters.
+ * parallel.* counters. Stack passes of different workloads run side
+ * by side on the sweep pool and must render exactly what the serial
+ * sweep renders.
  */
 
 #include <gtest/gtest.h>
@@ -526,6 +528,31 @@ TEST(IntraJobsDifferential, StackSweepIsBitIdenticalAndCounted)
     fs::remove_all(base);
 }
 
+TEST(IntraJobsPolicy, AutoNeverShardsStackPasses)
+{
+    // Two cells, four jobs: auto would hand each cell two workers,
+    // but a set-sharded stack pass costs more per record than one
+    // unsharded pass, so auto leaves stack passes whole.
+    auto small = core::presets().get("standard");
+    auto large = core::presets().get("standard");
+    large.name = "standard-64K";
+    large.cacheSizeBytes = 64 * 1024;
+
+    const auto run = [&](unsigned jobs) {
+        Runner r;
+        SweepRequest req;
+        req.workloads = {mvWorkload("MV-auto-stack", 36)};
+        req.configs = {small, large};
+        req.metric = harness::missRatioMetric();
+        req.jobs = jobs;
+        const auto result = r.run(req);
+        EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
+        EXPECT_EQ(r.parallelCounter("parallel.shards"), 0u);
+        return result.table.toString();
+    };
+    EXPECT_EQ(run(4), run(1));
+}
+
 TEST(IntraJobsPolicy, AutoShardsOnlyWhenCellsCannotFillJobs)
 {
     namespace fs = std::filesystem;
@@ -564,6 +591,65 @@ TEST(IntraJobsPolicy, AutoShardsOnlyWhenCellsCannotFillJobs)
         r.run(req);
         EXPECT_EQ(r.parallelCounter("parallel.windows"), 0u);
     }
+    fs::remove_all(base);
+}
+
+// ---------------------------------------------------------------------
+// Stack passes of different workloads running side by side on the
+// sweep pool.
+
+/** A standard-family lattice: sizes x ways, all stack-eligible. */
+std::vector<core::Config>
+standardLattice()
+{
+    std::vector<core::Config> out;
+    for (const std::uint64_t kb : {4, 16, 64}) {
+        for (const std::uint32_t ways : {1u, 2u, 4u}) {
+            auto cfg = core::presets().get("standard");
+            cfg.name = std::to_string(kb) + "K-" +
+                       std::to_string(ways) + "w";
+            cfg.cacheSizeBytes = kb * 1024;
+            cfg.assoc = ways;
+            out.push_back(cfg);
+        }
+    }
+    return out;
+}
+
+TEST(ParallelStackPasses, PoolRunIsBitIdenticalToSerial)
+{
+    namespace fs = std::filesystem;
+    const std::string base = testing::TempDir() + "/stack_pool";
+    fs::remove_all(base);
+
+    std::vector<Workload> workloads;
+    for (const int n : {24, 28, 32, 36, 40, 44})
+        workloads.push_back(mvWorkload("MV-pool-" + std::to_string(n), n));
+
+    const auto run = [&](unsigned jobs) {
+        Runner r;
+        SweepRequest req;
+        req.workloads = workloads;
+        req.configs = standardLattice();
+        req.metric = harness::missRatioMetric();
+        req.jobs = jobs;
+        req.telemetry.manifestDir =
+            base + "/manifests" + std::to_string(jobs);
+        const auto result = r.run(req);
+        EXPECT_EQ(r.stackCounter("stack.pass.traversals"),
+                  workloads.size());
+        EXPECT_EQ(r.stackCounter("stack.pass.fallback_cells"), 0u);
+        EXPECT_EQ(r.runsExecuted(), 0u);
+        return result.table.toString();
+    };
+
+    const auto serial = run(1);
+    const auto pooled = run(4);
+    EXPECT_EQ(pooled, serial);
+    EXPECT_EQ(readManifests(base + "/manifests4").size(),
+              workloads.size() * standardLattice().size());
+    expectManifestsEquivalent(base + "/manifests1",
+                              base + "/manifests4");
     fs::remove_all(base);
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -423,6 +424,44 @@ TEST(ServiceServer, DrainCompletesAdmittedSweeps)
     for (const auto &frame : frames)
         saw_manifest = saw_manifest || frameType(frame) == "manifest";
     EXPECT_TRUE(saw_manifest);
+}
+
+TEST(ServiceServer, FinishedHandlerThreadsAreJoinedAsTheyGo)
+{
+    const std::string socket = uniqueSocketPath("reap");
+    SweepServer server({socket, 1, 4});
+    ASSERT_TRUE(server.start());
+
+    // Every connection gets its own handler thread. Sequential
+    // requests leave at most the last few handlers unjoined; a daemon
+    // that kept them all would hold one thread per request served.
+    constexpr int kRequests = 1000;
+    for (int i = 0; i < kRequests; ++i) {
+        const auto frames =
+            roundTrip(socket, "{\"verb\":\"status\"}");
+        ASSERT_EQ(frames.size(), 1u) << "request " << i;
+    }
+    EXPECT_LE(server.unjoinedHandlers(), 16u);
+    const auto wait_until = [](const auto &done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    };
+    // Idle, the accept loop reaps the stragglers within poll ticks.
+    wait_until([&] { return server.unjoinedHandlers() == 0; });
+    EXPECT_EQ(server.unjoinedHandlers(), 0u);
+
+    // A connection still open at drain keeps its handler live; drain
+    // joins it once the client goes away.
+    const int fd = connectTo(socket);
+    ASSERT_GE(fd, 0);
+    wait_until([&] { return server.unjoinedHandlers() > 0; });
+    EXPECT_EQ(server.unjoinedHandlers(), 1u);
+    std::thread drainer([&server] { server.drain(); });
+    ::close(fd);
+    drainer.join();
+    EXPECT_EQ(server.unjoinedHandlers(), 0u);
 }
 
 TEST(ServiceServer, ShutdownVerbRequestsTermination)

@@ -4,7 +4,10 @@
  * layers:
  *
  *  - StackEngine: unit tests of the profiler mechanics on hand-built
- *    traces (conflict thrash, truncated-depth reuse, coverage).
+ *    traces (conflict thrash, truncated-depth reuse, coverage), and
+ *    StackKernel: way-array edge cases (line 0 against empty ways,
+ *    one-byte lines at the top of the address space, one-way
+ *    profilers, distinct-line counts across a bitmap block).
  *  - StackDifferential: the engine against exact core::simulateTrace
  *    replay — bit-identical miss counts across size x assoc lattices
  *    for every standard-family preset and for the standard-config
@@ -269,6 +272,123 @@ TEST(StackDifferential, FuzzCorpusStandardSubset)
     }
     // The subset must be a real corpus, not a vacuous filter.
     EXPECT_GE(eligible, 100u);
+}
+
+// --- StackKernel: way-array edge cases ------------------------------
+
+/** A trace of one access per address in @p addrs. */
+trace::Trace
+addressTrace(const std::vector<Addr> &addrs)
+{
+    trace::Trace t("addrs");
+    for (const Addr a : addrs)
+        t.push({.addr = a});
+    return t;
+}
+
+TEST(StackKernel, LineZeroNeverHitsAnEmptyWay)
+{
+    // A fresh set's way array is zero-filled, and line 0 is a real
+    // line address: its first touch must still miss everywhere, as
+    // must line 0 arriving in a set that holds only other lines.
+    const sim::StackPoint one_way{4096, 32, 1}; // 128 sets
+    const sim::StackPoint four_way{16384, 32, 4};
+    sim::StackDistanceEngine first({one_way, four_way});
+    const auto t0 = addressTrace({0});
+    first.feed(t0.data(), t0.size());
+    EXPECT_EQ(first.missCount(one_way), 1u);
+    EXPECT_EQ(first.missCount(four_way), 1u);
+
+    sim::StackDistanceEngine eng({one_way, four_way});
+    // 0x1000 is line 128, set 0 like line 0.
+    const auto t = addressTrace({0x1000, 0, 0, 0x1000});
+    eng.feed(t.data(), t.size());
+    EXPECT_EQ(eng.missCount(four_way), 2u); // two first touches
+    EXPECT_EQ(eng.missCount(one_way), 3u);  // ... plus one conflict
+    EXPECT_EQ(eng.touchedLines(32), 2u);
+}
+
+TEST(StackKernel, OneByteLinesAtTheTopOfTheAddressSpace)
+{
+    // lineBytes = 1: the line address is the byte address, up to
+    // 2^64 - 1, and the highest lines sit in the last bitmap block.
+    const sim::StackPoint one_way{8, 1, 1}; // 8 sets
+    const sim::StackPoint two_way{16, 1, 2};
+    const Addr top = ~Addr{0};
+    // top, top - 8 and top - 16 all map to set 7.
+    const auto t = addressTrace(
+        {top, top - 8, top, top - 8, top - 16, top, top - 1});
+    sim::StackDistanceEngine eng({one_way, two_way});
+    eng.feed(t.data(), t.size());
+    // Two ways: top and top - 8 hit once each; top - 16 evicts top,
+    // whose reuse at distance 3 misses; top - 1 is new in set 6.
+    EXPECT_EQ(eng.missCount(two_way), 5u);
+    EXPECT_EQ(eng.missCount(one_way), 7u); // all alternate in set 7
+    EXPECT_EQ(eng.touchedLines(1), 4u);
+
+    // Exact replay agrees, though its empty-way sentinel tag equals
+    // the topmost 1-byte line.
+    auto cfg = core::presets().get("standard");
+    cfg.cacheSizeBytes = 16;
+    cfg.lineBytes = 1;
+    cfg.assoc = 2;
+    cfg.validate();
+    ASSERT_TRUE(harness::stackFamilyEligible(cfg));
+    expectStackMatchesReplay(eng, t, cfg);
+}
+
+TEST(StackKernel, CapOneProfilersMatchReplay)
+{
+    // Direct-mapped points only: every profiler tracks one way, so
+    // every reuse is either the set's sole resident or a miss.
+    const sim::StackPoint dm{4096, 32, 1};
+    sim::StackDistanceEngine tiny({dm, {8192, 32, 1}});
+    const auto t = addressTrace({0, 0, 0x1000, 0, 0x20, 0x20});
+    tiny.feed(t.data(), t.size());
+    EXPECT_EQ(tiny.missCount(dm), 4u);
+
+    std::vector<core::Config> cfgs;
+    for (const std::uint64_t kb : {1, 2, 4, 8, 16})
+        cfgs.push_back(
+            latticePoint(core::presets().get("standard"), kb * 1024, 1));
+    std::vector<sim::StackPoint> points;
+    for (const auto &cfg : cfgs)
+        points.push_back(harness::stackPointOf(cfg));
+    sim::StackDistanceEngine eng(points);
+    trace::MemoryTraceSource src(mvTrace());
+    eng.run(src);
+    for (const auto &cfg : cfgs)
+        expectStackMatchesReplay(eng, mvTrace(), cfg);
+}
+
+TEST(StackKernel, TouchedLinesAcrossABitmapBlockBoundary)
+{
+    // Lines 510..513 straddle the 512-line bitmap block boundary;
+    // each is touched twice, in both orders across the boundary.
+    std::vector<Addr> addrs;
+    for (const Addr line : {510, 511, 512, 513, 513, 512, 511, 510})
+        addrs.push_back(line * 32);
+    const auto t = addressTrace(addrs);
+    const std::vector<sim::StackPoint> points = {{1024, 32, 1},
+                                                 {4096, 32, 2}};
+
+    sim::StackDistanceEngine whole(points);
+    whole.feed(t.data(), t.size());
+    EXPECT_EQ(whole.touchedLines(32), 4u);
+
+    for (const unsigned shards : {2u, 3u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        std::vector<sim::StackDistanceEngine> slices;
+        for (unsigned s = 0; s < shards; ++s) {
+            slices.emplace_back(points, s, shards);
+            slices.back().feed(t.data(), t.size());
+        }
+        for (unsigned s = 1; s < shards; ++s)
+            slices[0].absorb(slices[s]);
+        EXPECT_EQ(slices[0].touchedLines(32), 4u);
+        for (const auto &p : points)
+            EXPECT_EQ(slices[0].missCount(p), whole.missCount(p));
+    }
 }
 
 // --- StackProperty: Mattson inclusion -------------------------------

@@ -336,9 +336,10 @@ EOF
     fi
     if [[ "$mode" == "parallel" ]]; then
         # Parallel leg: prove the intra-trace parallel engines — the
-        # concurrent live-point window replay and the set-sharded
-        # stack pass — race-clean under TSan and bit-identical to
-        # their serial counterparts end to end. The CLI differential
+        # concurrent live-point window replay, the set-sharded stack
+        # pass and stack passes running side by side on the sweep
+        # pool — race-clean under TSan and bit-identical to their
+        # serial counterparts end to end. The CLI differential
         # runs the same warm livepoint sweep with --intra-jobs 1 and
         # 4; every manifest must match modulo the wall-clock "timing"
         # object and the parallel run must attach timing.parallel.
@@ -352,12 +353,13 @@ EOF
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_parallel_test \
             --target sac_test_thread_pool_test \
+            --target sac_test_service_test \
             --target sacd --target sacctl \
             --target bench_fig07_traffic_missratio
         echo "=== [parallel] ctest (differentials, TSan) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
             -j "$(nproc)" \
-            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra'
+            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra|ServiceServer.ConcurrentClientsShareOneStackPass'
         par_dir="${build_dir}/parallel-run"
         rm -rf "${par_dir}"
         mkdir -p "${par_dir}"
