@@ -120,7 +120,13 @@ struct Config
     // --- Environment ----------------------------------------------
     sim::TimingParams timing;
     std::uint32_t writeBufferEntries = 8;
-    /** Run the three-C classifier (adds simulation time). */
+    /**
+     * Run the three-C classifier (adds simulation time). A single
+     * run classifies with its own shadow LRU; in a parallel exact
+     * sweep, cells sharing the classifier geometry (cacheSizeBytes /
+     * lineBytes lines of lineBytes) classify from one shared shadow
+     * pass per trace instead, with identical counts.
+     */
     bool classifyMisses = true;
 
     /** Number of physical lines in one virtual line. */

@@ -817,13 +817,32 @@ SoftwareAssistedCache::installPendingPrefetch()
 }
 
 void
+SoftwareAssistedCache::useShadowOutcomes(
+    const std::vector<sim::ShadowOutcome> &codes)
+{
+    if (!cfg_.classifyMisses)
+        return;
+    classifier_.reset();
+    shadowCursor_ = codes.data();
+    shadowEnd_ = codes.data() + codes.size();
+}
+
+void
 SoftwareAssistedCache::classify(Addr addr, bool was_miss)
 {
-    if (!classifier_)
+    sim::ShadowOutcome outcome;
+    if (shadowCursor_) {
+        SAC_ASSERT(shadowCursor_ != shadowEnd_,
+                   "shared shadow pass shorter than the replay");
+        outcome = *shadowCursor_++;
+    } else if (classifier_) {
+        outcome = classifier_->outcome(addr);
+    } else {
         return;
-    const auto cls = classifier_->access(addr, was_miss);
+    }
+    const auto cls = sim::classOf(outcome, was_miss);
     if (!cls)
-        return; // hit: the shadow LRU was updated, nothing to count
+        return; // hit: no miss class, nothing to count
     switch (*cls) {
       case sim::MissClass::Compulsory:
         ++stats_.compulsoryMisses;
@@ -881,6 +900,8 @@ SoftwareAssistedCache::finish()
 {
     if (finished_)
         return;
+    SAC_ASSERT(shadowCursor_ == shadowEnd_,
+               "shared shadow pass longer than the replay");
     drainWriteBuffer<true>();
     stats_.writeBufferFullStalls = writeBuffer_.fullStalls();
     finished_ = true;
@@ -976,6 +997,16 @@ simulateTrace(const trace::Trace &t, const Config &cfg,
               DispatchMode dispatch)
 {
     SoftwareAssistedCache sim(cfg, dispatch);
+    sim.run(t);
+    return sim.stats();
+}
+
+sim::RunStats
+simulateTrace(const trace::Trace &t, const Config &cfg,
+              const std::vector<sim::ShadowOutcome> &shadow)
+{
+    SoftwareAssistedCache sim(cfg);
+    sim.useShadowOutcomes(shadow);
     sim.run(t);
     return sim.stats();
 }

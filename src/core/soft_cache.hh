@@ -366,6 +366,19 @@ class SoftwareAssistedCache
             *classifier_ = c;
     }
 
+    /**
+     * Classify from a precomputed shadow pass instead of the private
+     * classifier, which is dropped. @p codes must be
+     * sim::shadowPass() of the trace this simulator is about to
+     * replay in full detail, at this config's classifier geometry
+     * (cacheSizeBytes / lineBytes lines of lineBytes); each detailed
+     * access consumes one code, so RunStats come out exactly as with
+     * the live classifier. @p codes must outlive the run, and
+     * finish() asserts that every code was consumed. A no-op when
+     * classification is disabled.
+     */
+    void useShadowOutcomes(const std::vector<sim::ShadowOutcome> &codes);
+
   private:
     /** A main-cache slot filled by the in-flight miss. */
     struct FillTarget
@@ -496,6 +509,12 @@ class SoftwareAssistedCache
     std::optional<cache::CacheArray> aux_;
     sim::WriteBuffer writeBuffer_;
     std::optional<sim::MissClassifier> classifier_;
+    /**
+     * Read cursor into a shared shadow pass (useShadowOutcomes());
+     * null = classify with classifier_.
+     */
+    const sim::ShadowOutcome *shadowCursor_ = nullptr;
+    const sim::ShadowOutcome *shadowEnd_ = nullptr;
     sim::RunStats stats_;
 
     Cycle now_ = 0;
@@ -545,6 +564,14 @@ class SoftwareAssistedCache
 /** Simulate @p t under @p cfg and return the statistics. */
 sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg,
                             DispatchMode dispatch = DispatchMode::Auto);
+
+/**
+ * simulateTrace() classifying from @p shadow, the sim::shadowPass()
+ * of @p t at @p cfg's classifier geometry (see useShadowOutcomes()).
+ * Bit-identical statistics to the live-classifier overload.
+ */
+sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg,
+                            const std::vector<sim::ShadowOutcome> &shadow);
 
 /** Simulate a streamed trace under @p cfg and return the statistics. */
 sim::RunStats simulateSource(trace::TraceSource &src, const Config &cfg,

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "src/harness/sweep.hh"
@@ -83,8 +85,41 @@ Runner::warmup(const std::vector<Workload> &workloads)
         traceOf(w);
 }
 
+struct Runner::ShadowPass
+{
+    const Workload *workload = nullptr;
+    std::uint32_t capacityLines = 0;
+    std::uint32_t lineBytes = 0;
+    std::once_flag once;
+    std::vector<sim::ShadowOutcome> codes;
+};
+
+const std::vector<sim::ShadowOutcome> &
+Runner::shadowCodes(ShadowPass &pass)
+{
+    std::call_once(pass.once, [&] {
+        const trace::Trace &t = traceOf(*pass.workload);
+        {
+            const telemetry::ScopedPhase phase(phases_, "shadow-pass");
+            pass.codes =
+                sim::shadowPass(t, pass.capacityLines, pass.lineBytes);
+        }
+        std::lock_guard<std::mutex> lock(stackMutex_);
+        ++stackCounters_.counter("classifier.shadow.passes",
+                                 "shared three-C shadow passes built");
+    });
+    return pass.codes;
+}
+
 const Runner::CellResult &
 Runner::cell(const Workload &w, const core::Config &cfg)
+{
+    return cellWith(w, cfg, nullptr);
+}
+
+const Runner::CellResult &
+Runner::cellWith(const Workload &w, const core::Config &cfg,
+                 ShadowPass *pass)
 {
     const auto key = std::make_pair(w.name, cfg.cacheKey());
     Slot<CellResult> *slot = nullptr;
@@ -97,10 +132,19 @@ Runner::cell(const Workload &w, const core::Config &cfg)
     }
     std::call_once(slot->once, [&] {
         const trace::Trace &t = traceOf(w);
+        const std::vector<sim::ShadowOutcome> *codes =
+            pass ? &shadowCodes(*pass) : nullptr;
         const telemetry::ScopedPhase phase(phases_, "sim");
-        slot->value.stats = core::simulateTrace(t, cfg);
+        slot->value.stats = codes ? core::simulateTrace(t, cfg, *codes)
+                                  : core::simulateTrace(t, cfg);
         slot->value.simSeconds = phase.elapsed();
         runsExecuted_.fetch_add(1);
+        if (codes) {
+            std::lock_guard<std::mutex> lock(stackMutex_);
+            ++stackCounters_.counter(
+                "classifier.shadow.cells",
+                "exact cells classified from a shared shadow pass");
+        }
     });
     return slot->value;
 }
@@ -349,8 +393,9 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
                 .count()));
     };
     const auto timed_cell = [this, &timed](const Workload &w,
-                                           const core::Config &cfg) {
-        timed([&] { run(w, cfg); });
+                                           const core::Config &cfg,
+                                           ShadowPass *pass) {
+        timed([&] { cellWith(w, cfg, pass); });
     };
 
     // Partition into the stack family — served by one single-pass
@@ -382,38 +427,95 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
         timed([&] { runStackFamily(w, family, intra_jobs); });
     };
 
-    const std::size_t n_passes = family.empty() ? 0 : workloads.size();
+    // Shared shadow passes. The three-C shadow is a pure function of
+    // (trace, classifier geometry), so the uncached exact cells of
+    // one workload that classify at one geometry can share a single
+    // pass; a group with fewer than two distinct cells gains nothing
+    // over its own live classifier. The codes live until the sweep
+    // returns.
     const std::size_t n_exact = workloads.size() * exact.size();
-    if (jobs > 1 && n_passes + n_exact > 1) {
+    std::vector<std::string> exact_keys;
+    for (const core::Config *cfg : exact)
+        exact_keys.push_back(cfg->cacheKey());
+    std::deque<ShadowPass> shadows; // stable addresses for the cells
+    std::vector<ShadowPass *> cell_shadow(n_exact, nullptr);
+    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+        const Workload &w = workloads[wi];
+        std::map<std::pair<std::uint32_t, std::uint32_t>,
+                 std::vector<std::size_t>>
+            groups;
+        for (std::size_t ci = 0; ci < exact.size(); ++ci) {
+            const core::Config &cfg = *exact[ci];
+            if (!cfg.classifyMisses)
+                continue;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (results_.count({w.name, exact_keys[ci]}))
+                    continue;
+            }
+            groups[{static_cast<std::uint32_t>(cfg.cacheSizeBytes /
+                                               cfg.lineBytes),
+                    cfg.lineBytes}]
+                .push_back(ci);
+        }
+        for (const auto &[geometry, members] : groups) {
+            std::set<std::string> keys;
+            for (const std::size_t ci : members)
+                keys.insert(exact_keys[ci]);
+            if (keys.size() < 2)
+                continue;
+            ShadowPass &pass = shadows.emplace_back();
+            pass.workload = &w;
+            pass.capacityLines = geometry.first;
+            pass.lineBytes = geometry.second;
+            for (const std::size_t ci : members)
+                cell_shadow[wi * exact.size() + ci] = &pass;
+        }
+    }
+    const auto timed_shadow = [this, &timed](ShadowPass &pass) {
+        timed([&] { shadowCodes(pass); });
+    };
+
+    const std::size_t n_passes = family.empty() ? 0 : workloads.size();
+    if (jobs > 1 && n_passes + shadows.size() + n_exact > 1) {
         // One pool runs the stack passes (one task per workload,
-        // submitted first so the longest trace starts at once) and
-        // every exact cell. Passes over different workloads share
-        // nothing but the mutex-guarded stack store; run() latches
-        // each trace and each result exactly once, so racing cells
-        // block on the first producer instead of duplicating work.
-        // The futures re-raise any exception a task threw.
+        // submitted first so the longest trace starts at once), the
+        // shadow passes and every exact cell. Passes over different
+        // workloads share nothing but the mutex-guarded stores;
+        // run() latches each trace and each result exactly once, and
+        // shadowCodes() each pass, so racing tasks block on the
+        // first producer instead of duplicating work. The futures
+        // re-raise any exception a task threw.
         util::ThreadPool pool(jobs);
         std::vector<std::future<void>> tasks;
-        tasks.reserve(n_passes + n_exact);
+        tasks.reserve(n_passes + shadows.size() + n_exact);
         for (std::size_t i = 0; i < n_passes; ++i) {
             const Workload &w = workloads[i];
             tasks.push_back(
                 pool.submit([&timed_pass, &w] { timed_pass(w); }));
         }
-        for (const auto &w : workloads) {
-            for (const core::Config *cfg : exact) {
-                tasks.push_back(pool.submit(
-                    [&timed_cell, &w, cfg] { timed_cell(w, *cfg); }));
-            }
+        for (ShadowPass &pass : shadows) {
+            tasks.push_back(pool.submit(
+                [&timed_shadow, &pass] { timed_shadow(pass); }));
+        }
+        for (std::size_t i = 0; i < n_exact; ++i) {
+            const Workload &w = workloads[i / exact.size()];
+            const core::Config *cfg = exact[i % exact.size()];
+            ShadowPass *pass = cell_shadow[i];
+            tasks.push_back(pool.submit([&timed_cell, &w, cfg, pass] {
+                timed_cell(w, *cfg, pass);
+            }));
         }
         for (auto &task : tasks)
             task.get();
     } else {
         for (std::size_t i = 0; i < n_passes; ++i)
             timed_pass(workloads[i]);
-        for (const auto &w : workloads) {
-            for (const core::Config *cfg : exact)
-                timed_cell(w, *cfg);
+        for (ShadowPass &pass : shadows)
+            timed_shadow(pass);
+        for (std::size_t i = 0; i < n_exact; ++i) {
+            timed_cell(workloads[i / exact.size()],
+                       *exact[i % exact.size()], cell_shadow[i]);
         }
     }
 

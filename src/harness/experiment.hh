@@ -258,13 +258,16 @@ class Runner
     std::size_t runsExecuted() const { return runsExecuted_.load(); }
 
     /**
-     * Value of one of this runner's "stack.pass.*" telemetry
-     * counters (0 when never incremented):
+     * Value of one of this runner's shared-pass telemetry counters
+     * (0 when never incremented) — the stack engine's "stack.pass.*"
+     * and the shared three-C shadow's "classifier.shadow.*":
      *   stack.pass.traversals     single-pass traversals executed
      *   stack.pass.records        records profiled by those passes
      *   stack.pass.cells          cells served fresh from a pass
      *   stack.pass.cached_cells   cells served from the stack store
      *   stack.pass.fallback_cells exact-replay cells in stack sweeps
+     *   classifier.shadow.passes  shared shadow passes built
+     *   classifier.shadow.cells   exact cells classified from one
      */
     std::uint64_t stackCounter(const std::string &name) const;
 
@@ -325,6 +328,23 @@ class Runner
     };
 
     /**
+     * One sweep-scoped shared shadow pass: the sim::shadowPass()
+     * codes of one (workload, classifier geometry), built once by
+     * whichever task reaches it first (defined in experiment.cc).
+     */
+    struct ShadowPass;
+
+    /** The codes of @p pass, building them on first use. Thread-safe. */
+    const std::vector<sim::ShadowOutcome> &shadowCodes(ShadowPass &pass);
+
+    /**
+     * cell() classifying from @p pass when given (nullptr = the live
+     * classifier). Both yield the same stats, so they share one slot.
+     */
+    const CellResult &cellWith(const Workload &w, const core::Config &cfg,
+                               ShadowPass *pass);
+
+    /**
      * Run one stack pass over @p w covering the whole @p family,
      * storing per-config stats for any member not already in the
      * stack store. Thread-safe: runMatrixWith() runs one call per
@@ -343,6 +363,13 @@ class Runner
      * forces every cell onto exact replay (EngineSelect::Exact).
      * @p intra_jobs > 1 shards each stack pass across that many
      * workers (runStackFamily).
+     *
+     * Shared shadow: when at least two uncached exact cells of one
+     * workload classify misses at the same classifier geometry, one
+     * shadow pass per (workload, geometry) runs on the sweep pool
+     * (submitted before the cells, like the stack passes) and those
+     * cells classify from its codes instead of a private classifier.
+     * The codes are freed when the sweep returns.
      */
     util::Table runMatrixWith(const std::vector<Workload> &workloads,
                               const std::vector<core::Config> &configs,

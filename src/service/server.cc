@@ -325,17 +325,18 @@ SweepServer::metricsSnapshot() const
             rejected_;
         reg.counter("request.completed", "sweeps finished") +=
             completed_;
-        reg.counter("request.queued",
-                    "sweeps admitted but not yet executing") +=
-            pending_ - active_;
-        reg.counter("request.active", "sweeps executing right now") +=
-            active_;
+        reg.gauge("request.queued",
+                  "sweeps admitted but not yet executing")
+            .set(pending_ - active_);
+        reg.gauge("request.active", "sweeps executing right now")
+            .set(active_);
     }
     for (const char *name :
          {"stack.pass.traversals", "stack.pass.records",
           "stack.pass.cells", "stack.pass.cached_cells",
-          "stack.pass.fallback_cells"}) {
-        reg.counter(name, "shared runner stack-engine counter") +=
+          "stack.pass.fallback_cells", "classifier.shadow.passes",
+          "classifier.shadow.cells"}) {
+        reg.counter(name, "shared runner stack/shadow pass counter") +=
             runner_.stackCounter(name);
     }
     for (const char *name : {"checkpoint.hits", "checkpoint.misses",

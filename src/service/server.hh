@@ -99,8 +99,9 @@ class SweepServer
 
     /**
      * Snapshot of the service counters (request.accepted, .rejected,
-     * .queued, .active, .completed) merged with the runner's
-     * stack.pass.* and checkpoint.* counters.
+     * .completed) and gauges (request.queued, .active) merged with
+     * the runner's stack.pass.*, classifier.shadow.*, checkpoint.*
+     * and parallel.* counters.
      */
     telemetry::CounterRegistry metricsSnapshot() const;
 

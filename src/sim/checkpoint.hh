@@ -176,7 +176,10 @@ class CheckpointLibrary
 
     /**
      * Write the library for @p key, creating parent directories.
-     * Returns the bytes written, or 0 on I/O failure.
+     * The file is written under a unique temporary name in the same
+     * directory and renamed over @p path, so a failed or interrupted
+     * save leaves any previous library intact and no temporary
+     * behind. Returns the bytes written, or 0 on I/O failure.
      */
     std::uint64_t save(const std::string &path,
                        const CheckpointKey &key) const;

@@ -111,8 +111,8 @@ MissClassifier::unlink(std::uint32_t n)
         tail_ = node.prev;
 }
 
-std::optional<MissClass>
-MissClassifier::access(Addr byte_addr, bool was_miss)
+ShadowOutcome
+MissClassifier::outcome(Addr byte_addr)
 {
     const Addr line = lineOf(byte_addr);
 
@@ -144,14 +144,22 @@ MissClassifier::access(Addr byte_addr, bool was_miss)
         linkFront(n);
     }
 
-    if (!was_miss)
-        return std::nullopt; // hits have no miss class
-
     if (first_touch)
-        return MissClass::Compulsory;
-    if (!shadow_hit)
-        return MissClass::Capacity;
-    return MissClass::Conflict;
+        return ShadowOutcome::FirstTouch;
+    return shadow_hit ? ShadowOutcome::ShadowHit
+                      : ShadowOutcome::ShadowMiss;
+}
+
+std::vector<ShadowOutcome>
+shadowPass(const trace::Trace &t, std::uint32_t capacity_lines,
+           std::uint32_t line_bytes)
+{
+    MissClassifier shadow(capacity_lines, line_bytes);
+    std::vector<ShadowOutcome> codes;
+    codes.reserve(t.size());
+    for (const trace::Record &rec : t)
+        codes.push_back(shadow.outcome(rec.addr));
+    return codes;
 }
 
 } // namespace sim

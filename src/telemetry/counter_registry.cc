@@ -69,9 +69,27 @@ Counter &
 CounterRegistry::counter(const std::string &name,
                          const std::string &desc)
 {
+    return entry(name, desc, CounterKind::Counter);
+}
+
+Counter &
+CounterRegistry::gauge(const std::string &name, const std::string &desc)
+{
+    return entry(name, desc, CounterKind::Gauge);
+}
+
+Counter &
+CounterRegistry::entry(const std::string &name, const std::string &desc,
+                       CounterKind kind)
+{
     SAC_ASSERT(!name.empty(), "counter names must be non-empty");
     for (auto &c : counters_) {
         if (c.name == name) {
+            if (c.kind != kind) {
+                util::panic("'", name,
+                            "' is registered as both a counter and a "
+                            "gauge");
+            }
             if (c.desc.empty() && !desc.empty())
                 c.desc = desc;
             return c;
@@ -87,7 +105,7 @@ CounterRegistry::counter(const std::string &name,
                         "': a path cannot be both a leaf and a group");
         }
     }
-    counters_.push_back(Counter{name, desc, 0});
+    counters_.push_back(Counter{name, desc, 0, kind});
     return counters_.back();
 }
 
@@ -145,8 +163,12 @@ CounterRegistry::total(const std::string &prefix) const
 void
 CounterRegistry::merge(const CounterRegistry &other)
 {
-    for (const auto &c : other.counters_)
-        counter(c.name, c.desc) += c.value;
+    for (const auto &c : other.counters_) {
+        if (c.kind == CounterKind::Gauge)
+            gauge(c.name, c.desc).set(c.value);
+        else
+            counter(c.name, c.desc) += c.value;
+    }
     for (const auto &h : other.histograms_) {
         Histogram &mine = histogram(h.name, h.desc);
         if (mine.buckets.size() < h.buckets.size())
@@ -267,7 +289,8 @@ CounterRegistry::writePrometheus(std::ostream &os,
         const std::string n = promName(prefix, c.name);
         if (!c.desc.empty())
             os << "# HELP " << n << ' ' << promHelp(c.desc) << '\n';
-        os << "# TYPE " << n << " counter\n";
+        os << "# TYPE " << n
+           << (c.kind == CounterKind::Gauge ? " gauge\n" : " counter\n");
         os << n << ' ' << c.value << '\n';
     }
     for (const auto &h : histograms_) {

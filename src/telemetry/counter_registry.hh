@@ -26,12 +26,20 @@
 namespace sac {
 namespace telemetry {
 
-/** One named event counter. */
+/** What a registry entry measures (its Prometheus metric type). */
+enum class CounterKind
+{
+    Counter, //!< a monotonic event total, accumulated with +=
+    Gauge,   //!< a current level (queue depth), replaced with set()
+};
+
+/** One named event counter or gauge. */
 struct Counter
 {
     std::string name; //!< dotted path, e.g. "cache.main.hits"
     std::string desc; //!< one-line human description
     std::uint64_t value = 0;
+    CounterKind kind = CounterKind::Counter;
 
     Counter &operator+=(std::uint64_t n)
     {
@@ -41,6 +49,12 @@ struct Counter
     Counter &operator++()
     {
         ++value;
+        return *this;
+    }
+    /** Gauge semantics: the value becomes @p v. */
+    Counter &set(std::uint64_t v)
+    {
+        value = v;
         return *this;
     }
 };
@@ -82,9 +96,21 @@ struct Histogram
 class CounterRegistry
 {
   public:
-    /** Register (or fetch) counter @p name. Panics on group/leaf clash. */
+    /**
+     * Register (or fetch) counter @p name. Panics on a group/leaf
+     * clash, or when @p name is registered as a gauge.
+     */
     Counter &counter(const std::string &name,
                      const std::string &desc = "");
+
+    /**
+     * Register (or fetch) gauge @p name: an entry of kind
+     * CounterKind::Gauge, meant to be set(), exported with
+     * "# TYPE ... gauge". Panics like counter(), and when @p name is
+     * registered as a counter.
+     */
+    Counter &gauge(const std::string &name,
+                   const std::string &desc = "");
 
     /** Register (or fetch) histogram @p name. */
     Histogram &histogram(const std::string &name,
@@ -109,7 +135,10 @@ class CounterRegistry
         return histograms_;
     }
 
-    /** Add every counter/histogram of @p other into this registry. */
+    /**
+     * Add every counter/histogram of @p other into this registry;
+     * a gauge takes @p other's value (set semantics).
+     */
     void merge(const CounterRegistry &other);
 
     /**
@@ -130,9 +159,10 @@ class CounterRegistry
 
     /**
      * Prometheus text exposition (version 0.0.4) of the registry:
-     * every counter becomes `<prefix>_<name>` (dots and other
-     * non-metric characters mapped to '_') with # HELP / # TYPE
-     * comments; histograms expand to the conventional cumulative
+     * every counter or gauge becomes `<prefix>_<name>` (dots and
+     * other non-metric characters mapped to '_') with # HELP / # TYPE
+     * comments (TYPE counter or gauge, after the entry's kind);
+     * histograms expand to the conventional cumulative
      * _bucket{le="..."} series (le = inclusive upper bound of each
      * log2 bucket) plus _sum and _count. Groundwork for the sweep
      * service's /metrics endpoint.
@@ -144,6 +174,10 @@ class CounterRegistry
     std::string toPrometheus(const std::string &prefix = "sac") const;
 
   private:
+    /** counter()/gauge(): register or fetch @p name as @p kind. */
+    Counter &entry(const std::string &name, const std::string &desc,
+                   CounterKind kind);
+
     // Deques: registration hands out references that must survive
     // later registrations.
     std::deque<Counter> counters_;

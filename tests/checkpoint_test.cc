@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +25,8 @@
 #include <iterator>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "src/cache/cache_array.hh"
 #include "src/check/auditor.hh"
@@ -251,6 +255,48 @@ TEST(CheckpointLibraryTest, MissingFileLoadsAsMissing)
                        sim::CheckpointKey{}),
               LoadResult::Missing);
     EXPECT_TRUE(lib.empty());
+}
+
+TEST(CheckpointLibraryTest, FailedSaveKeepsThePreviousLibrary)
+{
+    const auto b = makeBuiltLibrary();
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "ck_atomic";
+    std::filesystem::remove_all(dir);
+    const std::string path = (dir / "lib.saclp").string();
+    const std::uint64_t bytes = b.lib.save(path, b.key);
+    ASSERT_GT(bytes, 0u);
+
+    // Simulate a full disk: cap the size of any file this process
+    // writes far below the library's, so the rewrite fails mid-write
+    // (EFBIG instead of SIGXFSZ), then lift the cap again.
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = saved;
+    capped.rlim_cur = 64;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const std::uint64_t failed = b.lib.save(path, b.key);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_EQ(failed, 0u);
+
+    // A target that cannot be replaced fails at the rename instead.
+    const std::string blocked = (dir / "blocked.saclp").string();
+    std::filesystem::create_directories(
+        std::filesystem::path(blocked) / "occupied");
+    EXPECT_EQ(b.lib.save(blocked, b.key), 0u);
+
+    sim::CheckpointLibrary loaded;
+    EXPECT_EQ(loaded.load(path, b.key), LoadResult::Hit);
+    EXPECT_EQ(loaded.loadedBytes(), bytes);
+    std::vector<std::string> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        left.push_back(entry.path().filename().string());
+    std::sort(left.begin(), left.end());
+    EXPECT_EQ(left, (std::vector<std::string>{"blocked.saclp",
+                                              "lib.saclp"}));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointLibraryTest, KeyMismatchesLoadAsStale)

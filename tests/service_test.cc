@@ -393,6 +393,21 @@ TEST(ServiceServer, MetricsVerbExposesPrometheusCounters)
               std::string::npos);
     EXPECT_NE(text.find("sacd_stack_pass_traversals"),
               std::string::npos);
+    EXPECT_NE(text.find("sacd_classifier_shadow_passes"),
+              std::string::npos);
+    // Levels are gauges, event totals counters.
+    for (const char *gauge : {"request_queued", "request_active"}) {
+        const std::string name = std::string("sacd_") + gauge;
+        EXPECT_NE(text.find("# TYPE " + name + " gauge\n"),
+                  std::string::npos);
+        EXPECT_EQ(text.find("# TYPE " + name + " counter"),
+                  std::string::npos);
+    }
+    for (const char *counter : {"request_accepted", "request_rejected"}) {
+        EXPECT_NE(text.find("# TYPE sacd_" + std::string(counter) +
+                            " counter\n"),
+                  std::string::npos);
+    }
     server.drain();
 }
 

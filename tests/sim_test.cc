@@ -6,17 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <set>
 #include <sstream>
 
 #include "src/sim/miss_classifier.hh"
 #include "src/sim/run_stats.hh"
 #include "src/sim/timing.hh"
 #include "src/sim/write_buffer.hh"
+#include "src/util/rng.hh"
 
 namespace {
 
 using sac::sim::MissClass;
 using sac::sim::MissClassifier;
+using sac::sim::ShadowOutcome;
 using sac::sim::RunStats;
 using sac::sim::TimingParams;
 using sac::sim::WriteBuffer;
@@ -180,6 +185,77 @@ TEST(MissClassifierTest, HitsAreNeverClassified)
     // counting it would inflate the conflict bucket.
     EXPECT_EQ(mc.access(0, false), std::nullopt);
     EXPECT_EQ(mc.access(32, false), std::nullopt);
+}
+
+/** Textbook shadow: a seen-set plus a std::list fully-assoc. LRU. */
+class ReferenceShadow
+{
+  public:
+    ReferenceShadow(std::size_t capacity, std::uint32_t line_bytes)
+        : capacity_(capacity), lineBytes_(line_bytes)
+    {
+    }
+
+    ShadowOutcome
+    outcome(sac::Addr addr)
+    {
+        const sac::Addr line = addr / lineBytes_;
+        const bool first = seen_.insert(line).second;
+        const auto it = std::find(lru_.begin(), lru_.end(), line);
+        const bool hit = it != lru_.end();
+        if (hit)
+            lru_.erase(it);
+        else if (lru_.size() == capacity_)
+            lru_.pop_back();
+        lru_.push_front(line);
+        if (first)
+            return ShadowOutcome::FirstTouch;
+        return hit ? ShadowOutcome::ShadowHit : ShadowOutcome::ShadowMiss;
+    }
+
+  private:
+    std::size_t capacity_;
+    std::uint32_t lineBytes_;
+    std::set<sac::Addr> seen_;
+    std::list<sac::Addr> lru_;
+};
+
+TEST(MissClassifierTest, OutcomeMatchesAccess)
+{
+    // Fuzzed streams over a small line footprint (so the shadow both
+    // hits and evicts) plus far outliers (so the table grows). The
+    // split classifier (outcome, then classOf) must agree with
+    // access() and with a textbook shadow on every record, and the
+    // batch shadowPass() with the per-access outcomes.
+    sac::util::Rng rng(0x3c0de);
+    for (const std::uint32_t capacity : {1u, 2u, 256u}) {
+        for (const std::uint32_t line_bytes : {1u, 32u, 64u}) {
+            SCOPED_TRACE(testing::Message() << "capacity " << capacity
+                                            << " line " << line_bytes);
+            MissClassifier split(capacity, line_bytes);
+            MissClassifier whole(capacity, line_bytes);
+            ReferenceShadow reference(capacity, line_bytes);
+            sac::trace::Trace t("fuzz");
+            std::vector<ShadowOutcome> live;
+            const std::uint64_t footprint = 3ull * capacity * line_bytes;
+            for (int i = 0; i < 20000; ++i) {
+                sac::trace::Record rec;
+                rec.addr = rng.nextBool(0.05)
+                               ? rng.next() >> 8
+                               : rng.nextBelow(footprint + line_bytes);
+                const bool was_miss = rng.nextBool(0.5);
+                const ShadowOutcome o = split.outcome(rec.addr);
+                ASSERT_EQ(o, reference.outcome(rec.addr)) << "record " << i;
+                ASSERT_EQ(sac::sim::classOf(o, was_miss),
+                          whole.access(rec.addr, was_miss))
+                    << "record " << i;
+                live.push_back(o);
+                t.push(rec);
+            }
+            EXPECT_EQ(split.touchedLines(), whole.touchedLines());
+            EXPECT_EQ(sac::sim::shadowPass(t, capacity, line_bytes), live);
+        }
+    }
 }
 
 TEST(RunStatsTest, DerivedMetrics)

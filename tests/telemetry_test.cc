@@ -107,6 +107,38 @@ TEST(CounterRegistry, MergeSumsCountersAndHistograms)
     EXPECT_EQ(a.findHistogram("lat")->sum, 8u);
 }
 
+TEST(CounterRegistry, GaugesSetAndExportAsGauges)
+{
+    CounterRegistry reg;
+    reg.gauge("queue.depth", "items waiting").set(7);
+    reg.gauge("queue.depth").set(3); // a level, not a running total
+    reg.counter("queue.pushed") += 10;
+    EXPECT_EQ(reg.value("queue.depth"), 3u);
+    EXPECT_EQ(reg.find("queue.depth")->kind, telemetry::CounterKind::Gauge);
+    const std::string text = reg.toPrometheus("sac");
+    EXPECT_NE(text.find("# TYPE sac_queue_depth gauge\nsac_queue_depth 3\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE sac_queue_pushed counter\n"),
+              std::string::npos);
+
+    // Merging takes the other registry's level; counters still add.
+    CounterRegistry other;
+    other.gauge("queue.depth").set(5);
+    other.counter("queue.pushed") += 1;
+    reg.merge(other);
+    EXPECT_EQ(reg.value("queue.depth"), 5u);
+    EXPECT_EQ(reg.value("queue.pushed"), 11u);
+}
+
+TEST(CounterRegistryDeathTest, CounterVersusGaugeClashPanics)
+{
+    CounterRegistry reg;
+    reg.counter("queue.pushed");
+    reg.gauge("queue.depth");
+    EXPECT_DEATH(reg.gauge("queue.pushed"), "both a counter and a gauge");
+    EXPECT_DEATH(reg.counter("queue.depth"), "both a counter and a gauge");
+}
+
 TEST(Histogram, Log2BucketsAndMean)
 {
     telemetry::Histogram h;

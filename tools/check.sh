@@ -16,7 +16,10 @@
 #   tools/check.sh stack        # stack-vs-exact differential under ASan:
 #                               # the single-pass stack engine against
 #                               # exact replay on presets + fuzz corpus,
-#                               # Mattson properties, analytic oracle
+#                               # Mattson properties, analytic oracle,
+#                               # and the shared three-C shadow pass
+#                               # (SharedShadow) against live
+#                               # classifiers
 #   tools/check.sh telemetry    # observability pipeline smoke: an
 #                               # SAC_INTERVAL=ON sweep with --interval
 #                               # and --heatmap, then sac_report.py
@@ -33,8 +36,10 @@
 #                               # corrupt-library probe that must
 #                               # silently warm and rewrite
 #   tools/check.sh parallel     # intra-trace parallelism under TSan:
-#                               # the Parallel/Sharded/IntraJobs
-#                               # differential tests and the nested-
+#                               # the Parallel/Sharded/IntraJobs/
+#                               # SharedShadow differential tests (the
+#                               # last racing shadow passes against
+#                               # the cells that read them), the nested-
 #                               # submission ThreadPool regressions,
 #                               # then a CLI livepoint sweep whose
 #                               # --intra-jobs 4 manifests must be
@@ -157,10 +162,11 @@ for mode in "${modes[@]}"; do
             -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
-            --target sac_test_stack_engine_test
+            --target sac_test_stack_engine_test \
+            --target sac_test_shared_shadow_test
         echo "=== [stack] ctest (stack-vs-exact differential) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
-            -j "$(nproc)" -R 'Stack'
+            -j "$(nproc)" -R 'Stack|SharedShadow'
         echo "=== [stack] OK ==="
         continue
     fi
@@ -352,6 +358,7 @@ EOF
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_parallel_test \
+            --target sac_test_shared_shadow_test \
             --target sac_test_thread_pool_test \
             --target sac_test_service_test \
             --target sacd --target sacctl \
@@ -359,7 +366,7 @@ EOF
         echo "=== [parallel] ctest (differentials, TSan) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
             -j "$(nproc)" \
-            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra|ServiceServer.ConcurrentClientsShareOneStackPass'
+            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra|SharedShadow|ServiceServer.ConcurrentClientsShareOneStackPass'
         par_dir="${build_dir}/parallel-run"
         rm -rf "${par_dir}"
         mkdir -p "${par_dir}"
