@@ -109,15 +109,17 @@ writeCell(const std::string &workload, const core::Config &cfg,
     // resolve through the trace cache so they get instrumented too.
     if (instrument && t == nullptr && isRegisteredBenchmark(workload))
         t = &benchmarkTrace(workload);
-    std::string path;
+    harness::ManifestCell cell;
+    cell.workload = workload;
+    cell.config = &cfg;
+    cell.stats = &stats;
+    cell.simSeconds = sim_seconds;
     if (instrument && t != nullptr) {
-        const harness::InstrumentOptions io{o.interval, o.heatmap};
-        path = harness::writeInstrumentedCellManifest(
-            dir, workload, cfg, *t, stats, io, sim_seconds);
-    } else {
-        path = harness::writeCellManifest(dir, workload, cfg, stats,
-                                          sim_seconds);
+        cell.trace = t;
+        cell.instrument = {o.interval, o.heatmap};
     }
+    const std::string path = harness::writeCellManifest(
+        dir, cell, harness::EngineTag::ExactReplay);
     if (path.empty()) {
         std::cerr << "failed to write run manifest under '" << dir
                   << "'\n";

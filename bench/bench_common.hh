@@ -69,8 +69,8 @@ void emitCellManifest(const std::string &workload,
  * Trace-aware overload: under --interval/--heatmap the cell is
  * re-replayed with the time-resolved instrumentation attached, so the
  * manifest gains its "profile" block and/or the sibling
- * `<stem>.intervals.jsonl` series (harness::
- * writeInstrumentedCellManifest). Without those flags, identical to
+ * `<stem>.intervals.jsonl` series (harness::writeCellManifest with
+ * ManifestCell::trace set). Without those flags, identical to
  * the plain overload. The no-trace overload resolves registered
  * benchmark workloads through the trace cache, so suite sweeps are
  * instrumented too.

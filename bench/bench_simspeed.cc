@@ -25,6 +25,7 @@
 #include "src/core/soft_cache.hh"
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/interval.hh"
@@ -278,8 +279,8 @@ BM_ReplayStreamedMemory(benchmark::State &state)
 BENCHMARK(BM_ReplayStreamedMemory);
 
 /**
- * Full-matrix sweep through harness::Runner::runMatrix at a given
- * worker count (Arg). Traces are pre-generated so the benchmark
+ * Full-matrix sweep through harness::Runner::run (engine auto) at a
+ * given worker count (Arg). Traces are pre-generated so the benchmark
  * isolates the sweep executor itself; a fresh Runner per iteration
  * keeps every cell uncached.
  */
@@ -319,11 +320,15 @@ BM_MatrixSweep(benchmark::State &state)
     for (std::size_t i = 0; i < traces.size(); ++i)
         ws.push_back({traces[i].name(),
                       [&traces, i] { return traces[i]; }, nullptr});
+    harness::SweepRequest req;
+    req.workloads = ws;
+    req.configs = sweepConfigs();
+    req.metric = harness::amatMetric();
+    req.jobs = jobs;
     for (auto _ : state) {
         harness::Runner r;
-        const auto table = r.runMatrix(ws, sweepConfigs(),
-                                       harness::amatMetric(), jobs);
-        benchmark::DoNotOptimize(table.rows());
+        const auto result = r.run(req);
+        benchmark::DoNotOptimize(result.table.rows());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * traces.front().size() * ws.size() *
@@ -698,9 +703,13 @@ main(int argc, char **argv)
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-            if (harness::writeCellManifest(opts.emitJsonDir,
-                                           "MV-simspeed", cfg, stats,
-                                           secs)
+            harness::ManifestCell cell;
+            cell.workload = "MV-simspeed";
+            cell.config = &cfg;
+            cell.stats = &stats;
+            cell.simSeconds = secs;
+            if (harness::writeCellManifest(opts.emitJsonDir, cell,
+                                           harness::EngineTag::ExactReplay)
                     .empty()) {
                 std::cerr << "failed to write manifest under "
                           << opts.emitJsonDir << '\n';

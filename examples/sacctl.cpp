@@ -199,7 +199,8 @@ usage()
            "sampled-livepoint|stack\n"
         << "  --priority=N      higher runs sooner (default 0)\n"
         << "  --jobs=N          per-sweep worker hint\n"
-        << "  --intra-jobs=N    workers per cell (0 = auto)\n"
+        << "  --intra-jobs=N    live-point window-replay workers per "
+           "cell (0 = auto)\n"
         << "  --out=DIR         write streamed manifests under DIR\n"
         << "  --sample-window=W --sample-stride=S --sample-warmup=U\n"
         << "  --checkpoint-dir=DIR  live-point library "

@@ -33,11 +33,10 @@ struct BenchOptions
     unsigned jobs = 0;
 
     /**
-     * --intra-jobs N: workers per cell for intra-trace parallelism
-     * (live-point window replay, set-sharded stack passes). 0 = auto:
-     * window replay shards only when the sweep has fewer cells than
-     * --jobs workers; stack passes shard only on an explicit N.
-     * Results are bit-identical at any value.
+     * --intra-jobs N: live-point window-replay workers per cell (the
+     * only engine with intra-trace parallelism). 0 = auto: shard only
+     * when the sweep has fewer cells than --jobs workers. Results are
+     * bit-identical at any value.
      */
     unsigned intraJobs = 0;
 

@@ -1,19 +1,16 @@
 #include "src/harness/experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <fstream>
 #include <future>
-#include <iostream>
 #include <optional>
 #include <set>
 #include <sstream>
 
-#include "src/harness/sweep.hh"
 #include "src/telemetry/counter_registry.hh"
-#include "src/telemetry/manifest.hh"
-#include "src/util/logging.hh"
 #include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
 
@@ -149,40 +146,6 @@ Runner::cellWith(const Workload &w, const core::Config &cfg,
     return slot->value;
 }
 
-const sim::RunStats &
-Runner::run(const Workload &w, const core::Config &cfg)
-{
-    return cell(w, cfg).stats;
-}
-
-Runner::SweepTiming
-Runner::lastSweep() const
-{
-    std::lock_guard<std::mutex> lock(sweepMutex_);
-    return lastSweep_;
-}
-
-util::Table
-Runner::matrix(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const Metric &metric)
-{
-    std::vector<std::string> headers{"Benchmark"};
-    for (const auto &cfg : configs)
-        headers.push_back(cfg.name);
-    util::Table table(std::move(headers));
-    for (const auto &w : workloads) {
-        const auto row = table.addRow();
-        table.set(row, 0, w.name);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            table.setNumber(row, c + 1,
-                            metric.extract(run(w, configs[c])),
-                            metric.decimals);
-        }
-    }
-    return table;
-}
-
 bool
 stackFamilyEligible(const core::Config &cfg)
 {
@@ -229,8 +192,7 @@ stackStatsFor(const sim::StackDistanceEngine &eng,
 
 void
 Runner::runStackFamily(const Workload &w,
-                       const std::vector<const core::Config *> &family,
-                       unsigned intra_jobs)
+                       const std::vector<const core::Config *> &family)
 {
     // Serialize passes per workload: a concurrent sweep requesting
     // the same family waits here, then finds the store filled and
@@ -267,64 +229,19 @@ Runner::runStackFamily(const Workload &w,
     for (const core::Config *cfg : family)
         points.push_back(stackPointOf(*cfg));
 
-    const trace::Trace &t = traceOf(w);
+    sim::StackDistanceEngine eng(points);
     std::uint64_t records = 0;
-    std::optional<sim::StackDistanceEngine> eng;
-    if (intra_jobs > 1) {
-        // Set-sharded pass: per-set LRU stacks never interact, so
-        // each shard profiles a disjoint slice of every profiler's
-        // set space over the full stream and the histograms sum to
-        // exactly the unsharded counts (proven by the
-        // ShardedStackDifferential tests).
-        const telemetry::ScopedPhase phase(phases_, "stack-pass");
-        const unsigned shards = intra_jobs;
-        std::vector<sim::StackDistanceEngine> slices;
-        slices.reserve(shards);
-        for (unsigned s = 0; s < shards; ++s)
-            slices.emplace_back(points, s, shards);
-        {
-            util::ThreadPool pool(shards);
-            std::vector<std::future<void>> tasks;
-            tasks.reserve(shards);
-            for (unsigned s = 0; s < shards; ++s) {
-                tasks.push_back(pool.submit([&slices, s, &t] {
-                    trace::MemoryTraceSource src(t);
-                    slices[s].run(src);
-                }));
-            }
-            for (auto &task : tasks)
-                task.get();
-        }
-        const auto merge0 = std::chrono::steady_clock::now();
-        for (unsigned s = 1; s < shards; ++s)
-            slices[0].absorb(slices[s]);
-        const auto merge_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - merge0)
-                .count());
-        records = slices[0].accesses();
-        eng.emplace(std::move(slices[0]));
-        {
-            std::lock_guard<std::mutex> lock(parallelMutex_);
-            parallelCounters_.counter(
-                "parallel.shards",
-                "set-shard stack-pass slices executed") += shards;
-            parallelCounters_.counter(
-                "parallel.merge_ns",
-                "nanoseconds merging parallel partial results") +=
-                merge_ns;
-        }
-    } else {
-        eng.emplace(points);
+    {
+        const trace::Trace &t = traceOf(w);
         const telemetry::ScopedPhase phase(phases_, "stack-pass");
         trace::MemoryTraceSource src(t);
-        records = eng->run(src);
+        records = eng.run(src);
     }
 
     std::lock_guard<std::mutex> lock(stackMutex_);
     for (const core::Config *cfg : family) {
         stackResults_.try_emplace({w.name, cfg->cacheKey()},
-                                  stackStatsFor(*eng, *cfg));
+                                  stackStatsFor(eng, *cfg));
     }
     ++stackCounters_.counter("stack.pass.traversals",
                              "single-pass stack traversals executed");
@@ -365,19 +282,11 @@ Runner::parallelCounter(const std::string &name) const
     return parallelCounters_.value(name);
 }
 
-util::Table
-Runner::runMatrix(const std::vector<Workload> &workloads,
-                  const std::vector<core::Config> &configs,
-                  const Metric &metric, unsigned jobs)
-{
-    return runMatrixWith(workloads, configs, metric, jobs, true);
-}
-
-util::Table
-Runner::runMatrixWith(const std::vector<Workload> &workloads,
-                      const std::vector<core::Config> &configs,
-                      const Metric &metric, unsigned jobs,
-                      bool allow_stack, unsigned intra_jobs)
+Runner::SweepTiming
+Runner::sweepExact(const std::vector<Workload> &workloads,
+                   const std::vector<core::Config> &configs,
+                   const std::vector<const core::Config *> &family,
+                   unsigned jobs)
 {
     const auto sweep_start = std::chrono::steady_clock::now();
     // Per-worker busy time: summed wall time of the pass and cell
@@ -398,20 +307,10 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
         timed([&] { cellWith(w, cfg, pass); });
     };
 
-    // Partition into the stack family — served by one single-pass
-    // traversal per workload — and the exact remainder. A family of
-    // one gains nothing over a replay, so dispatch needs two members.
-    std::vector<const core::Config *> family;
+    // Everything outside the stack family is exact-replayed.
     std::vector<const core::Config *> exact;
-    if (allow_stack && stackDerivableMetric(metric)) {
-        for (const auto &cfg : configs) {
-            (stackFamilyEligible(cfg) ? family : exact).push_back(&cfg);
-        }
-    }
-    if (family.size() < 2) {
-        family.clear();
-        exact.clear();
-        for (const auto &cfg : configs)
+    for (const auto &cfg : configs) {
+        if (std::find(family.begin(), family.end(), &cfg) == family.end())
             exact.push_back(&cfg);
     }
 
@@ -422,9 +321,8 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
                                "stack-dispatched sweeps") +=
             workloads.size() * exact.size();
     }
-    const auto timed_pass = [this, &timed, &family,
-                             intra_jobs](const Workload &w) {
-        timed([&] { runStackFamily(w, family, intra_jobs); });
+    const auto timed_pass = [this, &timed, &family](const Workload &w) {
+        timed([&] { runStackFamily(w, family); });
     };
 
     // Shared shadow passes. The three-C shadow is a pure function of
@@ -524,36 +422,11 @@ Runner::runMatrixWith(const std::vector<Workload> &workloads,
             std::chrono::steady_clock::now() - sweep_start)
             .count();
     phases_.add("sweep", sweep_wall);
-    {
-        std::lock_guard<std::mutex> lock(sweepMutex_);
-        lastSweep_.wallSeconds = sweep_wall;
-        lastSweep_.busySeconds =
-            static_cast<double>(busy_ns.load()) * 1e-9;
-        lastSweep_.jobs = std::max(1u, jobs);
-    }
-
-    // Render serially: ordering, rounding and therefore bytes are
-    // identical to the serial path (stack-served cells extract the
-    // same integer counts replay would produce, so the rendered
-    // doubles match bit for bit).
-    const telemetry::ScopedPhase render(phases_, "report");
-    std::vector<std::string> headers{"Benchmark"};
-    for (const auto &cfg : configs)
-        headers.push_back(cfg.name);
-    util::Table table(std::move(headers));
-    for (const auto &w : workloads) {
-        const auto row = table.addRow();
-        table.set(row, 0, w.name);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const sim::RunStats *s =
-                family.empty() ? nullptr : stackStats(w, configs[c]);
-            table.setNumber(row, c + 1,
-                            metric.extract(s ? *s
-                                             : run(w, configs[c])),
-                            metric.decimals);
-        }
-    }
-    return table;
+    SweepTiming timing;
+    timing.wallSeconds = sweep_wall;
+    timing.busySeconds = static_cast<double>(busy_ns.load()) * 1e-9;
+    timing.jobs = std::max(1u, jobs);
+    return timing;
 }
 
 std::vector<sim::RunStats>
@@ -653,15 +526,6 @@ Runner::runStreamed(const Workload &w,
     return out;
 }
 
-std::vector<std::vector<Runner::SampledCell>>
-Runner::runSampled(const std::vector<Workload> &workloads,
-                   const std::vector<core::Config> &configs,
-                   const sim::SamplingOptions &opt, unsigned jobs)
-{
-    return runSampled(workloads, configs, opt, jobs, std::string(),
-                      false);
-}
-
 Runner::SampledCell
 Runner::computeSampledCell(const Workload &w, const core::Config &cfg,
                            const sim::SamplingOptions &opt,
@@ -689,9 +553,8 @@ Runner::computeSampledCell(const Workload &w, const core::Config &cfg,
         using LoadResult = sim::CheckpointLibrary::LoadResult;
         const LoadResult r =
             rebuild ? LoadResult::Missing : lib.load(path, key);
-        std::uint64_t bytes = 0;
         if (r == LoadResult::Hit) {
-            bytes = lib.loadedBytes();
+            out.libraryBytes = lib.loadedBytes();
         } else {
             // Warm once through the builder (a warming-only mirror of
             // the sampled replay), persist, then run the same restore
@@ -699,8 +562,9 @@ Runner::computeSampledCell(const Workload &w, const core::Config &cfg,
             core::SoftwareAssistedCache warmer(cfg);
             trace::MemoryTraceSource warm_src(t);
             engine.buildLibrary(warm_src, warmer, lib);
-            bytes = lib.save(path, key);
+            out.libraryBytes = lib.save(path, key);
         }
+        out.library = r;
         {
             std::lock_guard<std::mutex> lock(checkpointMutex_);
             if (r == LoadResult::Hit) {
@@ -721,15 +585,16 @@ Runner::computeSampledCell(const Workload &w, const core::Config &cfg,
             }
             checkpointCounters_.counter(
                 "checkpoint.bytes",
-                "bytes moved through .saclp files") += bytes;
+                "bytes moved through .saclp files") += out.libraryBytes;
         }
         trace::MemoryTraceSource src(t);
         if (intra_pool && intra_jobs > 1) {
-            sim::ParallelReplayStats ps;
+            out.intraJobs = intra_jobs;
             out.report = engine.runCheckpointedParallel(
                 src,
                 [&cfg] { return core::SoftwareAssistedCache(cfg); },
-                lib, *intra_pool, intra_jobs, &ps);
+                lib, *intra_pool, intra_jobs, &out.parallel);
+            const sim::ParallelReplayStats &ps = out.parallel;
             if (ps.parallel) {
                 std::lock_guard<std::mutex> lock(parallelMutex_);
                 parallelCounters_.counter(
@@ -803,11 +668,11 @@ Runner::sampledCellShared(const Workload &w, const core::Config &cfg,
 }
 
 std::vector<std::vector<Runner::SampledCell>>
-Runner::runSampled(const std::vector<Workload> &workloads,
-                   const std::vector<core::Config> &configs,
-                   const sim::SamplingOptions &opt, unsigned jobs,
-                   const std::string &checkpoint_dir, bool rebuild,
-                   unsigned intra_jobs)
+Runner::sampleCells(const std::vector<Workload> &workloads,
+                    const std::vector<core::Config> &configs,
+                    const sim::SamplingOptions &opt, unsigned jobs,
+                    const std::string &checkpoint_dir, bool rebuild,
+                    unsigned intra_jobs)
 {
     const telemetry::ScopedPhase phase(phases_, "sweep-sampled");
     const sim::SampledEngine engine(opt); // validates opt up front
@@ -999,83 +864,6 @@ toCsv(const util::Table &table)
         os << '\n';
     }
     return os.str();
-}
-
-// The legacy per-engine writers are thin wrappers over the unified
-// writeCellManifest(dir, ManifestCell, EngineTag) in sweep.cc; they
-// remain for one release (see the @deprecated notes in the header).
-
-std::string
-writeCellManifest(const std::string &dir, const std::string &workload,
-                  const core::Config &cfg,
-                  const sim::RunStats &stats, double sim_seconds,
-                  const util::Json *extra_timing)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.simSeconds = sim_seconds;
-    cell.extraTiming = extra_timing;
-    return writeCellManifest(dir, cell, EngineTag::ExactReplay);
-}
-
-std::string
-writeInstrumentedCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const trace::Trace &t,
-                              const sim::RunStats &stats,
-                              const InstrumentOptions &opt,
-                              double sim_seconds,
-                              const util::Json *extra_timing)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.trace = &t;
-    cell.instrument = opt;
-    cell.simSeconds = sim_seconds;
-    cell.extraTiming = extra_timing;
-    return writeCellManifest(dir, cell, EngineTag::ExactReplay);
-}
-
-std::string
-writeSampledCellManifest(const std::string &dir,
-                         const std::string &workload,
-                         const core::Config &cfg,
-                         const sim::SampleReport &report,
-                         const sim::SamplingOptions &opt,
-                         double sim_seconds,
-                         const util::Json *checkpoint)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.report = &report;
-    cell.sampling = &opt;
-    cell.checkpoint = checkpoint;
-    cell.simSeconds = sim_seconds;
-    return writeCellManifest(dir, cell,
-                             checkpoint ? EngineTag::SampledLivepoint
-                                        : EngineTag::Sampled);
-}
-
-std::string
-writeStackCellManifest(const std::string &dir,
-                       const std::string &workload,
-                       const core::Config &cfg,
-                       const sim::RunStats &stats,
-                       std::size_t family_size, double pass_seconds)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.stackFamilySize = family_size;
-    cell.simSeconds = pass_seconds;
-    return writeCellManifest(dir, cell, EngineTag::StackSinglePass);
 }
 
 bool

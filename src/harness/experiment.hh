@@ -20,6 +20,7 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/counter_registry.hh"
@@ -89,7 +90,7 @@ class Runner
         double simSeconds = 0.0; //!< wall seconds of simulateTrace()
     };
 
-    /** Wall-clock account of the last runMatrix() sweep. */
+    /** Wall-clock account of one exact sweep (SweepResult::timing). */
     struct SweepTiming
     {
         double wallSeconds = 0.0; //!< sweep wall time
@@ -119,62 +120,46 @@ class Runner
     void warmup(const std::vector<Workload> &workloads);
 
     /**
-     * The statistics of @p w under @p cfg, simulated on first use.
-     * Thread-safe.
-     */
-    const sim::RunStats &run(const Workload &w,
-                             const core::Config &cfg);
-
-    /**
      * THE sweep entry point: execute one batched request, routing
      * each (workload, config) cell to the fastest eligible engine
      * (see EngineSelect in sweep.hh), emit the requested telemetry,
      * and return the rendered table plus the per-cell routing record.
-     * Tables and manifests are byte-identical to the legacy
-     * runMatrix()/runSampled()+writer sequence for the same options
-     * (the SweepRequestDifferential tests prove it). The request must
-     * be valid (SweepRequest::validationError()); thread-safe like
-     * every other entry — concurrent requests share the trace, cell,
-     * stack and sampled caches.
+     * The request must be valid (SweepRequest::validationError());
+     * thread-safe — concurrent requests share the trace, cell, stack
+     * and sampled caches.
+     *
+     * Exact requests simulate every uncached cell on request.jobs
+     * workers and render the table serially in workload x config
+     * order, so the bytes never depend on the worker count. When the
+     * metric is stack-derivable (stackDerivableMetric()) and at least
+     * two configurations form a stack family (stackFamilyEligible()),
+     * the family is served by ONE Mattson stack traversal per
+     * workload (sim::StackDistanceEngine), run as a task on the same
+     * pool; its counts are bit-identical to replay, so the table is
+     * too. Stack stats live in their own store, never the exact cell
+     * cache, and are accounted under "stack.pass.*" (stackCounter()).
+     * When two or more uncached exact cells of one workload classify
+     * misses at one classifier geometry, they share one
+     * sim::shadowPass() built on the pool ("classifier.shadow.*");
+     * its codes are freed when the request returns.
+     *
+     * Sampled requests estimate every cell with sim::SampledEngine
+     * over the cached trace; estimates never enter the exact cell
+     * cache. The live-point engine first loads the `.saclp` library
+     * of (trace content, config family, sampling geometry) under
+     * request.checkpointDir; a miss or stale library warms once,
+     * rewrites the file and takes the same restore path, with
+     * RunStats bit-identical to plain sampling. Outcomes land in the
+     * "checkpoint.*" counters and in each cell's manifest.
      */
     SweepResult run(const SweepRequest &request);
 
-    /** Like run(), including the cell's wall-clock cost. */
+    /**
+     * The exact-replay cell of @p w under @p cfg, simulated on first
+     * use: its statistics plus its wall-clock cost. Thread-safe.
+     */
     const CellResult &cell(const Workload &w,
                            const core::Config &cfg);
-
-    /**
-     * Build the classic figure table: one row per workload, one
-     * column per configuration, cells = metric. Serial reference
-     * path.
-     */
-    util::Table matrix(const std::vector<Workload> &workloads,
-                       const std::vector<core::Config> &configs,
-                       const Metric &metric);
-
-    /**
-     * Parallel sweep executor: simulate every uncached (workload,
-     * config) cell on @p jobs worker threads, then render the table.
-     * The result is byte-identical to matrix() — cells are rendered
-     * serially in workload x config order after the sweep completes.
-     * @p jobs <= 1 degenerates to the serial path.
-     *
-     * Stack dispatch: when the metric is stack-derivable
-     * (stackDerivableMetric()) and at least two configurations form a
-     * stack family (stackFamilyEligible()), the family's cells are
-     * served by ONE single-pass Mattson stack traversal per workload
-     * (sim::StackDistanceEngine) instead of per-config replays, the
-     * workloads' passes running as tasks on the same @p jobs pool as
-     * the exact cells; the remaining configurations fall back to
-     * exact replay. Stack miss counts are bit-identical to replay
-     * (the StackDifferential tests prove it), so the rendered table
-     * stays byte-identical to matrix() either way. Stack-derived stats live in their own
-     * store, never the exact cell cache, and the pass is accounted
-     * under the "stack.pass.*" counters (stackCounter()).
-     */
-    util::Table runMatrix(const std::vector<Workload> &workloads,
-                          const std::vector<core::Config> &configs,
-                          const Metric &metric, unsigned jobs);
 
     /**
      * Streamed sweep: simulate @p w under every configuration in one
@@ -210,49 +195,16 @@ class Runner
          * "engine": "sampled-livepoint".
          */
         bool fromCheckpoints = false;
+        /** Live-point cells: how this cell's library was obtained. */
+        sim::CheckpointLibrary::LoadResult library =
+            sim::CheckpointLibrary::LoadResult::Missing;
+        /** Live-point cells: bytes moved through its .saclp file. */
+        std::uint64_t libraryBytes = 0;
+        /** Live-point cells: window-replay workers requested. */
+        unsigned intraJobs = 1;
+        /** Live-point cells: the parallel window replay's account. */
+        sim::ParallelReplayStats parallel{};
     };
-
-    /**
-     * Sampled sweep: estimate every (workload, config) cell with the
-     * windowed sampling engine (sim::SampledEngine) instead of a full
-     * simulation. Traces come from the shared trace cache; each cell
-     * replays an independent MemoryTraceSource over the cached trace,
-     * so cells are embarrassingly parallel and run on @p jobs pool
-     * workers (<= 1 = serial). Estimates are never stored in the
-     * exact-cell cache — a sampled figure cannot silently poison a
-     * later full-detail run of the same matrix.
-     *
-     * @return cells indexed [workload][config]
-     */
-    std::vector<std::vector<SampledCell>>
-    runSampled(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const sim::SamplingOptions &opt, unsigned jobs = 0);
-
-    /**
-     * Sampled sweep backed by a live-point checkpoint library rooted
-     * at @p checkpoint_dir (sim::CheckpointLibrary): each cell first
-     * tries to load the `.saclp` for (trace content, config family,
-     * sampling geometry). On a hit the cell replays detailed windows
-     * from restored live-points and skips functional warming
-     * entirely; on a miss (or any stale library — wrong trace hash,
-     * config, geometry, version, or a corrupt/truncated file) the
-     * cell warms once through the library builder, rewrites the file,
-     * and then runs the same restore path. Either way the resulting
-     * RunStats are bit-identical to the plain runSampled() cell (the
-     * checkpoint differential tests prove it). Outcomes land in the
-     * "checkpoint.*" counters (checkpointCounter()). Geometries with
-     * no warming gap (stride == window) and an empty @p
-     * checkpoint_dir fall back to plain runSampled() cells.
-     * @p rebuild forces warm-and-rewrite even when a valid library
-     * exists (--checkpoint-rebuild).
-     */
-    std::vector<std::vector<SampledCell>>
-    runSampled(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const sim::SamplingOptions &opt, unsigned jobs,
-               const std::string &checkpoint_dir, bool rebuild,
-               unsigned intra_jobs = 1);
 
     /** Number of simulations actually executed (not served cached). */
     std::size_t runsExecuted() const { return runsExecuted_.load(); }
@@ -284,10 +236,8 @@ class Runner
     /**
      * Value of one of this runner's "parallel.*" telemetry counters
      * (0 when never incremented) — the intra-trace parallelism
-     * account:
+     * account of live-point window replay:
      *   parallel.windows   detailed windows replayed concurrently
-     *                      (checkpointed window-replay shards)
-     *   parallel.shards    set-shard stack-pass slices executed
      *   parallel.merge_ns  nanoseconds spent merging parallel
      *                      partial results in deterministic order
      */
@@ -296,8 +246,8 @@ class Runner
     /**
      * Stack-store stats of (w, cfg), or nullptr when no stack pass
      * has served that cell. Lets manifest emitters record
-     * stack-served cells (writeStackCellManifest) without forcing an
-     * exact replay through run()/cell().
+     * stack-served cells without forcing an exact replay through
+     * cell().
      */
     const sim::RunStats *stackStats(const Workload &w,
                                     const core::Config &cfg) const;
@@ -311,13 +261,10 @@ class Runner
     /**
      * Wall-clock phase account of this runner: "trace-gen" (workload
      * builds), "warmup" (warmup() calls), "sim" (simulateTrace
-     * cells), "sweep" (runMatrix execution) and "report" (table
+     * cells), "sweep" (exact sweep execution) and "report" (table
      * rendering). Phase adds are thread-safe.
      */
     const telemetry::PhaseTimer &phases() const { return phases_; }
-
-    /** Timing of the most recent runMatrix() sweep. */
-    SweepTiming lastSweep() const;
 
   private:
     /** A once-latched cache slot: built exactly once, then immutable. */
@@ -347,35 +294,40 @@ class Runner
     /**
      * Run one stack pass over @p w covering the whole @p family,
      * storing per-config stats for any member not already in the
-     * stack store. Thread-safe: runMatrixWith() runs one call per
+     * stack store. Thread-safe: sweepExact() runs one call per
      * workload on the sweep pool, and a per-workload pass mutex makes
      * concurrent calls for one workload share a single traversal.
-     * @p intra_jobs > 1 splits the pass into that many set-shard
-     * slices (sim::StackDistanceEngine shard mode) run concurrently
-     * and absorbed in shard order — bit-identical counts.
      */
     void runStackFamily(const Workload &w,
-                        const std::vector<const core::Config *> &family,
-                        unsigned intra_jobs = 1);
+                        const std::vector<const core::Config *> &family);
 
     /**
-     * runMatrix() with the stack dispatch gated: @p allow_stack false
-     * forces every cell onto exact replay (EngineSelect::Exact).
-     * @p intra_jobs > 1 shards each stack pass across that many
-     * workers (runStackFamily).
-     *
-     * Shared shadow: when at least two uncached exact cells of one
-     * workload classify misses at the same classifier geometry, one
-     * shadow pass per (workload, geometry) runs on the sweep pool
-     * (submitted before the cells, like the stack passes) and those
-     * cells classify from its codes instead of a private classifier.
-     * The codes are freed when the sweep returns.
+     * The exact half of run(): simulate every uncached cell of
+     * @p workloads x @p configs on @p jobs workers — one stack pass
+     * per workload for the members of @p family (empty = no stack
+     * dispatch), shared shadow passes, then exact replays — and
+     * return the sweep's wall-clock account.
      */
-    util::Table runMatrixWith(const std::vector<Workload> &workloads,
-                              const std::vector<core::Config> &configs,
-                              const Metric &metric, unsigned jobs,
-                              bool allow_stack,
-                              unsigned intra_jobs = 1);
+    SweepTiming sweepExact(const std::vector<Workload> &workloads,
+                           const std::vector<core::Config> &configs,
+                           const std::vector<const core::Config *> &family,
+                           unsigned jobs);
+
+    /**
+     * The sampled half of run(): every (workload, config) cell,
+     * indexed [workload][config], on @p jobs workers. A non-empty
+     * @p checkpoint_dir selects the live-point library (ignored for
+     * geometries with no warming gap); @p rebuild forces
+     * warm-and-rewrite and bypasses the shared cell store;
+     * @p intra_jobs > 1 fans each live-point cell's window replay out
+     * over the same pool.
+     */
+    std::vector<std::vector<SampledCell>>
+    sampleCells(const std::vector<Workload> &workloads,
+                const std::vector<core::Config> &configs,
+                const sim::SamplingOptions &opt, unsigned jobs,
+                const std::string &checkpoint_dir, bool rebuild,
+                unsigned intra_jobs);
 
     /**
      * Simulate one sampled cell (optionally over the live-point
@@ -451,8 +403,6 @@ class Runner
     std::atomic<std::size_t> runsExecuted_{0};
     std::atomic<std::size_t> tracesGenerated_{0};
     telemetry::PhaseTimer phases_;
-    mutable std::mutex sweepMutex_; //!< guards lastSweep_
-    SweepTiming lastSweep_;
 };
 
 /** The nine paper benchmarks as harness workloads. */
@@ -464,7 +414,7 @@ std::vector<Workload> paperWorkloads();
  * the report's confidence. The three sampled metrics (miss ratio,
  * AMAT, words/ref) carry their interval; any other metric falls back
  * to extracting from the cumulative detailed stats, without a bound.
- * Exact cells (short traces) render like matrix() does, +/-0.
+ * Exact cells (short traces) render their point value, +/-0.
  */
 util::Table
 sampledMatrix(const std::vector<Workload> &workloads,
@@ -502,63 +452,7 @@ sim::StackPoint stackPointOf(const core::Config &cfg);
 sim::RunStats stackStatsFor(const sim::StackDistanceEngine &eng,
                             const core::Config &cfg);
 
-/**
- * Write the run manifest of one stack-dispatched sweep cell: tagged
- * "engine": "stack-single-pass", with the count-derived metrics and
- * a "stack" object recording the family size. Timing metrics are
- * omitted — a stack pass does not model cycles.
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::StackSinglePass) (sweep.hh); will be removed next
- * release.
- */
-std::string
-writeStackCellManifest(const std::string &dir,
-                       const std::string &workload,
-                       const core::Config &cfg,
-                       const sim::RunStats &stats,
-                       std::size_t family_size,
-                       double pass_seconds = 0.0);
-
-/**
- * Write the run manifest of one sampled sweep cell: the regular cell
- * manifest built from the cumulative detailed stats, with a
- * "sampling" object in the metrics section carrying the geometry,
- * record accounting, and each estimate with its half-width. When
- * @p checkpoint is given (an object, typically the library-outcome
- * counters: hits/misses/stale/bytes), the cell ran on the live-point
- * restore path: the manifest is tagged "engine": "sampled-livepoint"
- * and carries the object as its "checkpoint" block.
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::Sampled / ::SampledLivepoint) (sweep.hh); will be
- * removed next release.
- */
-std::string
-writeSampledCellManifest(const std::string &dir,
-                         const std::string &workload,
-                         const core::Config &cfg,
-                         const sim::SampleReport &report,
-                         const sim::SamplingOptions &opt,
-                         double sim_seconds = 0.0,
-                         const util::Json *checkpoint = nullptr);
-
-/**
- * Write one telemetry run manifest for a sweep cell: the full
- * configuration, its cache key, every RunStats counter, the derived
- * paper metrics, and timing. Returns the written path ("" on I/O
- * failure). @p sim_seconds <= 0 omits the per-cell cost; members of
- * @p extra_timing (an object), when given, are merged into the
- * manifest's timing section (e.g. phase totals and utilization).
- */
-std::string writeCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const sim::RunStats &stats,
-                              double sim_seconds = 0.0,
-                              const util::Json *extra_timing = nullptr);
-
-/** What writeInstrumentedCellManifest() adds to a cell manifest. */
+/** What an instrumented exact-cell manifest adds (ManifestCell). */
 struct InstrumentOptions
 {
     /**
@@ -570,30 +464,6 @@ struct InstrumentOptions
     /** Embed the per-set heat profile ("profile" manifest block). */
     bool heatmap = false;
 };
-
-/**
- * Write the cell manifest of an already-simulated run *with*
- * time-resolved instrumentation: the trace is replayed once more with
- * an IntervalRecorder / SetProfiler attached (the instrumented replay
- * must reproduce @p stats bit-for-bit — asserted), the heat profile
- * lands in the manifest's "profile" block and the interval series in
- * a sibling `<stem>.intervals.jsonl` file. In builds without
- * SAC_INTERVAL the function warns once and falls back to the plain
- * writeCellManifest(). Returns the manifest path ("" on I/O failure).
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::ExactReplay) with cell.trace/instrument set (sweep.hh);
- * will be removed next release.
- */
-std::string
-writeInstrumentedCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const trace::Trace &t,
-                              const sim::RunStats &stats,
-                              const InstrumentOptions &opt,
-                              double sim_seconds = 0.0,
-                              const util::Json *extra_timing = nullptr);
 
 /** Render a table as RFC-4180-style CSV (quoted where needed). */
 std::string toCsv(const util::Table &table);

@@ -1,10 +1,8 @@
 #include "src/harness/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/interval.hh"
@@ -167,8 +165,6 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         m.timing = util::Json::object();
         if (cell.simSeconds > 0.0)
             m.timing.set("pass_seconds", cell.simSeconds);
-        if (cell.parallel)
-            m.timing.set("parallel", *cell.parallel);
         return m;
     }
 
@@ -237,10 +233,12 @@ renderCellManifest(const ManifestCell &cell, EngineTag tag)
 
 std::string
 writeCellManifest(const std::string &dir, const ManifestCell &cell,
-                  EngineTag tag)
+                  EngineTag tag, std::string *document)
 {
     std::optional<telemetry::IntervalRecorder> recorder;
     const telemetry::Manifest m = renderCell(cell, tag, recorder);
+    if (document)
+        *document = telemetry::manifestDocument(m);
     const std::string path = telemetry::writeManifestFile(dir, m);
     if (path.empty() || !recorder)
         return path;
@@ -332,16 +330,6 @@ SweepRequest::fromBenchOptions(const BenchOptions &options,
 
 namespace {
 
-/** Serialize the manifest document exactly as writeManifestFile(). */
-std::string
-manifestDocument(const telemetry::Manifest &m)
-{
-    std::ostringstream os;
-    telemetry::manifestJson(m).write(os, 2);
-    os << '\n';
-    return os.str();
-}
-
 /** Per-run emission state shared by the engine-specific paths. */
 struct Emitter
 {
@@ -373,32 +361,20 @@ struct Emitter
     {
         const std::string file = telemetry::manifestFileName(
             cell.workload, cell.config->cacheKey());
+        // Render once: the sink streams the exact bytes the file
+        // holds.
+        std::string doc;
         std::string path;
-        if (telemetry.sink) {
-            // Render once, stream the exact bytes a file would hold,
-            // then materialize those same bytes when a directory was
-            // also requested. (The interval sidecar is CLI-only and
-            // never combines with a sink.)
-            const telemetry::Manifest m =
-                renderCellManifest(cell, tag);
-            const std::string doc = manifestDocument(m);
-            telemetry.sink(file, doc);
-            if (!telemetry.manifestDir.empty()) {
-                std::error_code ec;
-                std::filesystem::create_directories(
-                    telemetry.manifestDir, ec);
-                const std::filesystem::path p =
-                    std::filesystem::path(telemetry.manifestDir) /
-                    file;
-                std::ofstream os(p);
-                os << doc;
-                path = os ? p.string() : std::string();
-            } else {
-                path = file; // streamed only; count as written
-            }
-        } else if (!telemetry.manifestDir.empty()) {
-            path = writeCellManifest(telemetry.manifestDir, cell, tag);
+        if (!telemetry.manifestDir.empty()) {
+            path = writeCellManifest(telemetry.manifestDir, cell, tag,
+                                     telemetry.sink ? &doc : nullptr);
+        } else {
+            doc = telemetry::manifestDocument(
+                renderCellManifest(cell, tag));
+            path = file; // streamed only; count as written
         }
+        if (telemetry.sink)
+            telemetry.sink(file, doc);
         if (path.empty())
             ++result.manifestFailures;
         else
@@ -410,6 +386,34 @@ struct Emitter
         }
     }
 };
+
+/**
+ * The "checkpoint" manifest block of one live-point cell: how its own
+ * library was obtained (a stale library is also a miss, as in the
+ * "checkpoint.*" counters) and the bytes moved through its file.
+ */
+util::Json
+checkpointBlock(const Runner::SampledCell &cell)
+{
+    using LoadResult = sim::CheckpointLibrary::LoadResult;
+    util::Json ck = util::Json::object();
+    ck.set("hits", std::uint64_t{cell.library == LoadResult::Hit});
+    ck.set("misses", std::uint64_t{cell.library != LoadResult::Hit});
+    ck.set("stale", std::uint64_t{cell.library == LoadResult::Stale});
+    ck.set("bytes", cell.libraryBytes);
+    return ck;
+}
+
+/** The "parallel" timing block of a cell whose windows ran in parallel. */
+util::Json
+parallelBlock(const Runner::SampledCell &cell)
+{
+    util::Json par = util::Json::object();
+    par.set("intra_jobs", static_cast<std::uint64_t>(cell.intraJobs));
+    par.set("windows", cell.parallel.windows);
+    par.set("merge_ns", cell.parallel.mergeNanos);
+    return par;
+}
 
 } // namespace
 
@@ -448,7 +452,7 @@ Runner::run(const SweepRequest &request)
                 : ((request.jobs > 1 && n_cells < request.jobs)
                        ? request.jobs / static_cast<unsigned>(n_cells)
                        : 1);
-        const auto cells = runSampled(
+        const auto cells = sampleCells(
             request.workloads, request.configs, request.sampling,
             request.jobs,
             request.engine == EngineSelect::SampledLivepoint
@@ -458,34 +462,6 @@ Runner::run(const SweepRequest &request)
         out.table = sampledMatrix(request.workloads, request.configs,
                                   cells, request.metric);
 
-        // Library-served cells carry a "checkpoint" block so a reader
-        // can tell an instant re-sweep from a cold warm.
-        util::Json ck = util::Json::object();
-        if (!request.checkpointDir.empty()) {
-            for (const char *key :
-                 {"checkpoint.hits", "checkpoint.misses",
-                  "checkpoint.stale", "checkpoint.bytes"}) {
-                // Strip the "checkpoint." prefix inside the block.
-                ck.set(std::string(key).substr(11),
-                       checkpointCounter(key));
-            }
-        }
-
-        // Cells whose window replay ran sharded additionally carry a
-        // "parallel" block inside "timing" (so result comparisons
-        // stay unaffected), mirroring the checkpoint block above.
-        util::Json par = util::Json::object();
-        const bool ran_parallel =
-            parallelCounter("parallel.windows") > 0;
-        if (ran_parallel) {
-            par.set("intra_jobs", static_cast<std::uint64_t>(intra));
-            for (const char *key :
-                 {"parallel.windows", "parallel.merge_ns"}) {
-                // Strip the "parallel." prefix inside the block.
-                par.set(std::string(key).substr(9),
-                        parallelCounter(key));
-            }
-        }
         for (std::size_t wi = 0; wi < n_w; ++wi) {
             for (std::size_t ci = 0; ci < n_c; ++ci) {
                 const SampledCell &cell = cells[wi][ci];
@@ -497,13 +473,19 @@ Runner::run(const SweepRequest &request)
                 if (!emitter.active() ||
                     !emitter.claim(r.workload, r.cacheKey))
                     continue;
+                // Library-served cells carry a "checkpoint" block so a
+                // reader can tell an instant re-sweep from a cold
+                // warm, and a "parallel" block inside "timing" when
+                // their windows ran sharded.
+                const util::Json ck = checkpointBlock(cell);
+                const util::Json par = parallelBlock(cell);
                 ManifestCell mc;
                 mc.workload = r.workload;
                 mc.config = &request.configs[ci];
                 mc.report = &cell.report;
                 mc.sampling = &request.sampling;
                 mc.checkpoint = cell.fromCheckpoints ? &ck : nullptr;
-                mc.parallel = cell.fromCheckpoints && ran_parallel
+                mc.parallel = cell.fromCheckpoints && cell.parallel.parallel
                                   ? &par
                                   : nullptr;
                 mc.simSeconds = cell.simSeconds;
@@ -513,78 +495,80 @@ Runner::run(const SweepRequest &request)
         return out;
     }
 
-    // Exact path (Auto routes stack families; Exact forbids them).
-    // Stack passes shard only on an explicit request: set shards each
-    // re-read the whole stream, so a slice costs more per record than
-    // one unsharded pass, and the sweep pool already runs one pass
-    // per workload concurrently.
-    const bool allow_stack = request.engine != EngineSelect::Exact;
-    const unsigned stack_intra =
-        request.intraJobs > 0 ? request.intraJobs : 1;
-    out.table = runMatrixWith(request.workloads, request.configs,
-                              request.metric, request.jobs,
-                              allow_stack, stack_intra);
-    out.timing = lastSweep();
-
-    // Stack passes that ran set-sharded carry their own "parallel"
-    // block (under "timing", like the sampled path's).
-    util::Json par = util::Json::object();
-    const bool ran_sharded = parallelCounter("parallel.shards") > 0;
-    if (ran_sharded) {
-        par.set("intra_jobs", static_cast<std::uint64_t>(stack_intra));
-        for (const char *key :
-             {"parallel.shards", "parallel.merge_ns"}) {
-            par.set(std::string(key).substr(9), parallelCounter(key));
-        }
-    }
-
-    // Mirror runMatrixWith's partition rule so stack-served cells are
-    // recorded (and emitted) as such instead of being exact-replayed
-    // just for the manifest.
-    std::size_t family_size = 0;
-    if (allow_stack && stackDerivableMetric(request.metric)) {
+    // Exact path. Auto and Stack split off the stack family — served
+    // by one single-pass traversal per workload — from the exact
+    // remainder; Exact forbids stack dispatch. A family of one gains
+    // nothing over a replay, so dispatch needs two members.
+    std::vector<const core::Config *> family;
+    if (request.engine != EngineSelect::Exact &&
+        stackDerivableMetric(request.metric)) {
         for (const auto &cfg : request.configs) {
             if (stackFamilyEligible(cfg))
-                ++family_size;
+                family.push_back(&cfg);
         }
-        if (family_size < 2)
-            family_size = 0;
+    }
+    if (family.size() < 2)
+        family.clear();
+    std::vector<bool> stacked(n_c, false);
+    for (std::size_t ci = 0; ci < n_c; ++ci) {
+        stacked[ci] = std::find(family.begin(), family.end(),
+                                &request.configs[ci]) != family.end();
+    }
+
+    out.timing = sweepExact(request.workloads, request.configs, family,
+                            request.jobs);
+
+    // Render serially: ordering, rounding and therefore bytes are
+    // independent of the worker count (stack-served cells extract the
+    // same integer counts replay would produce, so the rendered
+    // doubles match bit for bit).
+    {
+        const telemetry::ScopedPhase render(phases_, "report");
+        std::vector<std::string> headers{"Benchmark"};
+        for (const auto &cfg : request.configs)
+            headers.push_back(cfg.name);
+        out.table = util::Table(std::move(headers));
+        for (const auto &w : request.workloads) {
+            const auto row = out.table.addRow();
+            out.table.set(row, 0, w.name);
+            for (std::size_t ci = 0; ci < n_c; ++ci) {
+                const core::Config &cfg = request.configs[ci];
+                out.table.setNumber(
+                    row, ci + 1,
+                    request.metric.extract(stacked[ci]
+                                               ? *stackStats(w, cfg)
+                                               : cell(w, cfg).stats),
+                    request.metric.decimals);
+            }
+        }
     }
 
     const bool instrument = request.telemetry.intervalRecords > 0 ||
                             request.telemetry.heatmap;
     util::Json phases;
     if (emitter.active() && request.telemetry.suiteTotals) {
-        const SweepTiming sweep = out.timing;
         phases = phases_.toJson();
         phases.set("sweep_jobs",
-                   static_cast<std::uint64_t>(sweep.jobs));
-        phases.set("worker_utilization", sweep.utilization());
+                   static_cast<std::uint64_t>(out.timing.jobs));
+        phases.set("worker_utilization", out.timing.utilization());
     }
 
     for (std::size_t ci = 0; ci < n_c; ++ci) {
         const core::Config &cfg = request.configs[ci];
         sim::RunStats suite_total;
         double suite_seconds = 0.0;
-        bool stack_served = false;
         for (std::size_t wi = 0; wi < n_w; ++wi) {
             const Workload &w = request.workloads[wi];
-            const sim::RunStats *stack =
-                family_size > 0 && stackFamilyEligible(cfg)
-                    ? stackStats(w, cfg)
-                    : nullptr;
             SweepResult::Cell &r = record(wi, ci);
-            if (stack != nullptr) {
-                stack_served = true;
+            if (stacked[ci]) {
                 r.engine = EngineTag::StackSinglePass;
                 if (emitter.active() &&
                     emitter.claim(r.workload, r.cacheKey)) {
                     ManifestCell mc;
                     mc.workload = r.workload;
                     mc.config = &cfg;
-                    mc.stats = stack;
-                    mc.stackFamilySize = family_size;
-                    mc.parallel = ran_sharded ? &par : nullptr;
+                    mc.stats = stackStats(w, cfg);
+                    mc.stackFamilySize = family.size();
                     emitter.emit(mc, EngineTag::StackSinglePass, &r);
                 }
                 continue;
@@ -609,7 +593,7 @@ Runner::run(const SweepRequest &request)
             suite_seconds += cell.simSeconds;
         }
         if (emitter.active() && request.telemetry.suiteTotals &&
-            !stack_served &&
+            !stacked[ci] &&
             emitter.claim("suite-total", cfg.cacheKey())) {
             ManifestCell mc;
             mc.workload = "suite-total";

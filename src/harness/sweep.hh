@@ -4,9 +4,10 @@
  * expresses every flag combination the benches accept — workloads,
  * config lattice, engine selection, sampling/checkpoint/telemetry
  * options — and one Runner::run() entry point that routes each cell
- * to the fastest eligible engine. The bench binaries and the sweep
- * service (src/service/) are thin adapters onto these types; the
- * legacy runMatrix()/runSampled() calls remain as building blocks.
+ * to the fastest eligible engine. It is the only way to run a sweep:
+ * the bench binaries and the sweep service (src/service/) are thin
+ * adapters onto these types, and writeCellManifest() is the one
+ * writer of a cell manifest file.
  */
 
 #ifndef SAC_HARNESS_SWEEP_HH
@@ -88,9 +89,9 @@ struct ManifestCell
     /** Live-point cells: the "checkpoint" block (outcome counters). */
     const util::Json *checkpoint = nullptr;
     /**
-     * Intra-trace parallelism counters ("parallel" block), rendered
-     * inside "timing": window-replay and set-shard tallies. Like the
-     * rest of "timing" it never affects result comparisons.
+     * Live-point cells whose window replay ran in parallel: the
+     * "parallel" block, rendered inside "timing". Like the rest of
+     * "timing" it never affects result comparisons.
      */
     const util::Json *parallel = nullptr;
 
@@ -118,13 +119,16 @@ telemetry::Manifest renderCellManifest(const ManifestCell &cell,
                                        EngineTag tag);
 
 /**
- * Write the manifest of one sweep cell under @p dir. This is the one
- * writer behind the legacy writeSampledCellManifest()/
- * writeStackCellManifest()/writeInstrumentedCellManifest() wrappers.
- * Returns the written path ("" on I/O failure).
+ * Write the manifest of one sweep cell under @p dir (atomically, via
+ * telemetry::writeManifestFile()), plus the interval series sidecar
+ * of an instrumented exact cell. The one writer of cell manifest
+ * files. When @p document is given it receives the rendered bytes,
+ * even if the write fails. Returns the written path ("" on I/O
+ * failure).
  */
 std::string writeCellManifest(const std::string &dir,
-                              const ManifestCell &cell, EngineTag tag);
+                              const ManifestCell &cell, EngineTag tag,
+                              std::string *document = nullptr);
 
 /** Manifest emission options of a SweepRequest. */
 struct SweepTelemetry
@@ -180,11 +184,11 @@ struct SweepRequest
     sim::SamplingOptions sampling; //!< sampled engines only
 
     /**
-     * Workers per cell for intra-trace parallelism: live-point window
-     * replay and set-sharded stack passes. 0 = auto (window replay
-     * shards only when the cell count cannot keep all @ref jobs
-     * workers busy, intra = jobs / cells; stack passes never shard);
-     * 1 = serial. Results are bit-identical either way.
+     * Workers per cell for live-point window replay (the only
+     * intra-trace parallelism; other engines ignore it). 0 = auto
+     * (shard only when the cell count cannot keep all @ref jobs
+     * workers busy, intra = jobs / cells); 1 = serial. Results are
+     * bit-identical either way.
      */
     unsigned intraJobs = 0;
 

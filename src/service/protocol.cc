@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <poll.h>
 #include <unistd.h>
 
 #include "src/workloads/workloads.hh"
@@ -64,11 +65,18 @@ writeFrame(int fd, const std::string &payload)
            writeAll(fd, payload.data(), payload.size());
 }
 
+namespace {
+
+/** Poll tick of readFrameBefore(): how soon a cancel is noticed. */
+constexpr int readPollMs = 50;
+
+/** Decode one frame, pulling its bytes through @p fill(data, len). */
+template <typename Fill>
 bool
-readFrame(int fd, std::string &payload)
+readFrameWith(std::string &payload, Fill &&fill)
 {
     unsigned char header[4];
-    if (!readAll(fd, reinterpret_cast<char *>(header), 4))
+    if (!fill(reinterpret_cast<char *>(header), 4))
         return false;
     const std::uint32_t len =
         (static_cast<std::uint32_t>(header[0]) << 24) |
@@ -78,7 +86,49 @@ readFrame(int fd, std::string &payload)
     if (len > maxFrameBytes)
         return false;
     payload.resize(len);
-    return len == 0 || readAll(fd, payload.data(), len);
+    return len == 0 || fill(payload.data(), len);
+}
+
+} // namespace
+
+bool
+readFrame(int fd, std::string &payload)
+{
+    return readFrameWith(payload, [fd](char *data, std::size_t len) {
+        return readAll(fd, data, len);
+    });
+}
+
+bool
+readFrameBefore(int fd, std::string &payload,
+                std::chrono::steady_clock::time_point deadline,
+                const std::atomic<bool> &cancel)
+{
+    return readFrameWith(payload, [&](char *data, std::size_t len) {
+        while (len > 0) {
+            if (std::chrono::steady_clock::now() >= deadline)
+                return false;
+            pollfd pfd{fd, POLLIN, 0};
+            const int ready = ::poll(&pfd, 1, readPollMs);
+            if (ready < 0 && errno != EINTR)
+                return false;
+            if (ready <= 0) {
+                // Idle tick: bytes already sent are still read even
+                // once cancelled; only a silent wait stops here.
+                if (cancel.load())
+                    return false;
+                continue;
+            }
+            const ssize_t n = ::read(fd, data, len);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                return false; // error or EOF mid-message
+            data += n;
+            len -= static_cast<std::size_t>(n);
+        }
+        return true;
+    });
 }
 
 std::optional<harness::Metric>

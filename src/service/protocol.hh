@@ -18,6 +18,9 @@
  *    "checkpoint_dir": "...", "manifest_dir": "..."}
  *   {"verb": "status"} | {"verb": "metrics"} | {"verb": "shutdown"}
  *
+ * "intra_jobs" is the live-point window-replay workers per cell (0 =
+ * auto); no other engine shards a cell.
+ *
  * Response frames are objects with a "type" member: "accepted",
  * "manifest" (file + document bytes), "done" (table + cell count),
  * "status", "metrics" (Prometheus text), "error".
@@ -26,6 +29,8 @@
 #ifndef SAC_SERVICE_PROTOCOL_HH
 #define SAC_SERVICE_PROTOCOL_HH
 
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +57,16 @@ bool writeFrame(int fd, const std::string &payload);
  */
 bool readFrame(int fd, std::string &payload);
 
+/**
+ * readFrame() that never blocks past @p deadline and gives up once
+ * @p cancel is set while no bytes are arriving (checked every poll
+ * tick, a few tens of milliseconds). False on timeout, cancellation,
+ * EOF, I/O error, or a length above maxFrameBytes.
+ */
+bool readFrameBefore(int fd, std::string &payload,
+                     std::chrono::steady_clock::time_point deadline,
+                     const std::atomic<bool> &cancel);
+
 /** The request verbs a connection may open with. */
 enum class Verb
 {
@@ -74,7 +89,7 @@ struct SweepSpec
     harness::EngineSelect engine = harness::EngineSelect::Auto;
     int priority = 0;  //!< higher runs sooner
     unsigned jobs = 1; //!< per-request worker hint (server clamps)
-    /** Intra-trace workers per cell; 0 = auto (server clamps). */
+    /** Live-point window-replay workers; 0 = auto (server clamps). */
     unsigned intraJobs = 0;
     sim::SamplingOptions sampling;
     std::string checkpointDir;

@@ -107,11 +107,27 @@ SweepServer::acceptLoop()
     reap(true);
 }
 
+namespace {
+
+/**
+ * How long a new connection may take to deliver its request frame.
+ * A client that connects and stays silent (or stalls mid-frame) is
+ * dropped after this, so it cannot pin a handler thread for good.
+ */
+constexpr std::chrono::seconds requestReadDeadline{10};
+
+} // namespace
+
 void
 SweepServer::handleConnection(int fd)
 {
+    // drain() cancels a wait for the request, so a silent client can
+    // never hold up the accept thread's join of this handler.
     std::string payload;
-    if (!readFrame(fd, payload)) {
+    if (!readFrameBefore(fd, payload,
+                         std::chrono::steady_clock::now() +
+                             requestReadDeadline,
+                         stopping_)) {
         ::close(fd);
         return;
     }
@@ -141,13 +157,7 @@ SweepServer::handleConnection(int fd)
         doc.set("draining", true);
         writeFrame(fd, doc.dump(0));
         ::close(fd);
-        {
-            // Lock so a concurrent waitForShutdown() between its
-            // predicate check and its sleep cannot miss the notify.
-            std::lock_guard<std::mutex> lock(mutex_);
-            shutdownRequested_.store(true);
-        }
-        shutdown_.notify_all();
+        requestShutdown();
         return;
     }
     case Verb::Submit:
@@ -264,7 +274,8 @@ SweepServer::drain()
     drained_ = true;
     stopping_.store(true);
     // The accept loop notices stopping_ within one poll tick, joins
-    // its connection handlers, and returns; admitted sweeps keep
+    // its connection handlers (those still waiting for a request
+    // give up within a tick too), and returns; admitted sweeps keep
     // their pool workers until the queue is empty.
     acceptThread_.join();
     {
@@ -276,6 +287,18 @@ SweepServer::drain()
     ::close(listenFd_);
     listenFd_ = -1;
     ::unlink(options_.socketPath.c_str());
+}
+
+void
+SweepServer::requestShutdown()
+{
+    {
+        // Lock so a concurrent waitForShutdown() between its
+        // predicate check and its sleep cannot miss the notify.
+        std::lock_guard<std::mutex> lock(mutex_);
+        shutdownRequested_.store(true);
+    }
+    shutdown_.notify_all();
 }
 
 bool
@@ -344,8 +367,7 @@ SweepServer::metricsSnapshot() const
         reg.counter(name, "shared runner checkpoint counter") +=
             runner_.checkpointCounter(name);
     }
-    for (const char *name : {"parallel.windows", "parallel.shards",
-                             "parallel.merge_ns"}) {
+    for (const char *name : {"parallel.windows", "parallel.merge_ns"}) {
         reg.counter(name,
                     "shared runner intra-trace parallelism counter") +=
             runner_.parallelCounter(name);

@@ -76,13 +76,20 @@ class SweepServer
     bool start();
 
     /**
-     * Graceful drain: reject new submits, finish every admitted
-     * sweep, flush and close every connection, join all threads, and
-     * remove the socket file. Idempotent.
+     * Graceful drain: reject new submits, drop connections still
+     * waiting to send their request, finish every admitted sweep,
+     * flush and close every connection, join all threads, and remove
+     * the socket file. Idempotent.
      */
     void drain();
 
-    /** Has a client's "shutdown" request asked the server to stop? */
+    /**
+     * Ask the server to stop: what a client's "shutdown" request
+     * does. Wakes waitForShutdown(); the owner then calls drain().
+     */
+    void requestShutdown();
+
+    /** Has a shutdown been requested (requestShutdown())? */
     bool shutdownRequested() const
     {
         return shutdownRequested_.load();

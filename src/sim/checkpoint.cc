@@ -1,13 +1,12 @@
 #include "src/sim/checkpoint.hh"
 
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
 
-#include <unistd.h>
+#include "src/util/file.hh"
 
 namespace sac {
 namespace sim {
@@ -334,25 +333,10 @@ CheckpointLibrary::save(const std::string &path,
     if (p.has_parent_path())
         std::filesystem::create_directories(p.parent_path(), ec);
 
-    // Write a uniquely named sibling, then rename it over the target:
-    // a reader (or a later run after a crash or a full disk) sees the
+    // A reader (or a later run after a crash or a full disk) sees the
     // previous library or the new one, never a torn file.
-    static std::atomic<std::uint64_t> serial{0};
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + std::to_string(serial.fetch_add(1));
-    bool ok;
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(file.data(), static_cast<std::streamsize>(file.size()));
-        out.close();
-        ok = !out.fail();
-    }
-    if (ok)
-        std::filesystem::rename(tmp, path, ec);
-    if (!ok || ec) {
-        std::filesystem::remove(tmp, ec);
+    if (!util::writeFileAtomically(path, file))
         return 0;
-    }
     return file.size();
 }
 

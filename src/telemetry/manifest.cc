@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
+
+#include "src/util/file.hh"
 
 namespace sac {
 namespace telemetry {
@@ -70,23 +71,28 @@ manifestJson(const Manifest &m)
 }
 
 std::string
+manifestDocument(const Manifest &m)
+{
+    std::ostringstream os;
+    manifestJson(m).write(os, 2);
+    os << '\n';
+    return os.str();
+}
+
+std::string
 writeManifestFile(const std::string &dir, const Manifest &m)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec)
         return "";
-    const std::filesystem::path path =
-        std::filesystem::path(dir) /
-        manifestFileName(m.workload, m.cacheKey);
-    std::ofstream os(path);
-    if (!os)
-        return "";
-    manifestJson(m).write(os, 2);
-    os << '\n';
-    if (!os)
-        return "";
-    return path.string();
+    const std::string path =
+        (std::filesystem::path(dir) /
+         manifestFileName(m.workload, m.cacheKey))
+            .string();
+    return util::writeFileAtomically(path, manifestDocument(m))
+               ? path
+               : std::string();
 }
 
 } // namespace telemetry

@@ -66,10 +66,16 @@ std::string manifestFileName(const std::string &workload,
 /** Assemble the full manifest document (schema + git + components). */
 util::Json manifestJson(const Manifest &m);
 
+/** The exact bytes writeManifestFile() writes for @p m. */
+std::string manifestDocument(const Manifest &m);
+
 /**
  * Write @p m into directory @p dir (created if missing) under
- * manifestFileName(). Returns the written path, or an empty string on
- * I/O failure.
+ * manifestFileName(). The document goes to a uniquely named
+ * temporary sibling first, which is then renamed over the target, so
+ * a reader sees the previous manifest or the new one, never a torn
+ * file. Returns the written path, or an empty string on I/O failure
+ * (no temporary file is left behind).
  */
 std::string writeManifestFile(const std::string &dir,
                               const Manifest &m);

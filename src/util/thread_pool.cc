@@ -70,12 +70,17 @@ ThreadPool::helpOne()
         queue_.pop_front();
     }
     task();
+    return true;
+}
+
+void
+ThreadPool::finishTask()
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++completed_;
     }
     drained_.notify_all();
-    return true;
 }
 
 void
@@ -93,14 +98,10 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        // A packaged_task captures any exception into its future, so
-        // a throwing task cannot take the worker down.
+        // submit()'s wrapper captures any exception into the future
+        // and counts the completion, so a throwing task cannot take
+        // the worker down.
         task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++completed_;
-        }
-        drained_.notify_all();
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * A minimal fixed-size work-queue thread pool used by the parallel
- * sweep executor (harness::Runner::runMatrix). Tasks are arbitrary
+ * sweep executor (harness::Runner::run). Tasks are arbitrary
  * callables; submit() returns a std::future so exceptions thrown by a
  * task are captured and re-raised in the waiting thread instead of
  * terminating the worker. The destructor drains the queue and joins
@@ -61,10 +61,27 @@ class ThreadPool
     submit(F &&fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        enqueue([task] { (*task)(); });
+        auto body = std::make_shared<std::decay_t<F>>(std::forward<F>(fn));
+        auto promise = std::make_shared<std::promise<R>>();
+        std::future<R> result = promise->get_future();
+        // The task counts as completed before its future becomes
+        // ready, so tasksCompleted() read after get() includes it.
+        enqueue([this, body, promise] {
+            try {
+                if constexpr (std::is_void_v<R>) {
+                    (*body)();
+                    finishTask();
+                    promise->set_value();
+                } else {
+                    R value = (*body)();
+                    finishTask();
+                    promise->set_value(std::forward<R>(value));
+                }
+            } catch (...) {
+                finishTask();
+                promise->set_exception(std::current_exception());
+            }
+        });
         return result;
     }
 
@@ -110,6 +127,8 @@ class ThreadPool
 
   private:
     void enqueue(std::function<void()> fn);
+    /** Count one task completed and wake wait(). */
+    void finishTask();
     void workerLoop();
 
     mutable std::mutex mutex_;

@@ -9,9 +9,10 @@
  * differential: runCheckpointed() must be bit-identical in RunStats,
  * per-window samples and final architectural state to run() with
  * functional warming, across presets, the fuzz corpus, gap-end edge
- * cases and adaptive/capped runs. Closes with Runner::runSampled
- * integration: cold sweeps warm-and-write, warm sweeps hit, corrupt
- * libraries count stale and still produce correct cells.
+ * cases and adaptive/capped runs. Closes with live-point SweepRequests
+ * checked against the serial oracle: cold sweeps warm-and-write, warm
+ * sweeps hit, corrupt libraries count stale and still produce correct
+ * cells.
  */
 
 #include <gtest/gtest.h>
@@ -33,12 +34,13 @@
 #include "src/check/trace_fuzzer.hh"
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/write_buffer.hh"
 #include "src/trace/trace_source.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -579,24 +581,76 @@ runnerSamplingOptions()
     return opt;
 }
 
-void
-expectCellsEqual(
-    const std::vector<std::vector<harness::Runner::SampledCell>> &a,
-    const std::vector<std::vector<harness::Runner::SampledCell>> &b)
+/** Size of the .saclp file a live-point cell of @p cfg reads. */
+std::uint64_t
+libraryBytes(const std::string &dir, const core::Config &cfg,
+             const sim::SamplingOptions &opt)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t wi = 0; wi < a.size(); ++wi) {
-        ASSERT_EQ(a[wi].size(), b[wi].size());
-        for (std::size_t ci = 0; ci < a[wi].size(); ++ci) {
-            SCOPED_TRACE("cell " + std::to_string(wi) + "," +
-                         std::to_string(ci));
-            EXPECT_TRUE(a[wi][ci].report.detailed ==
-                        b[wi][ci].report.detailed);
-            EXPECT_EQ(a[wi][ci].report.windows,
-                      b[wi][ci].report.windows);
-            expectSamplesEqual(a[wi][ci].report.missRatio,
-                               b[wi][ci].report.missRatio);
-        }
+    const trace::Trace t = checkpointWorkload().build();
+    sim::CheckpointKey key;
+    key.traceHash = sim::hashTrace(t);
+    key.configKey = cfg.cacheKey();
+    key.window = opt.window;
+    key.stride = opt.stride;
+    key.warmup = opt.warmup;
+    return std::filesystem::file_size(
+        sim::CheckpointLibrary::pathFor(dir, t.name(), key));
+}
+
+/** One live-point request over checkpointWorkload() on @p r. */
+oracle::CapturedRun
+livepointSweep(harness::Runner &r, const std::vector<core::Config> &cfgs,
+               const sim::SamplingOptions &opt, const std::string &dir,
+               bool rebuild = false)
+{
+    harness::SweepRequest req;
+    req.workloads = {checkpointWorkload()};
+    req.configs = cfgs;
+    req.metric = harness::missRatioMetric();
+    req.engine = harness::EngineSelect::SampledLivepoint;
+    req.sampling = opt;
+    req.checkpointDir = dir;
+    req.checkpointRebuild = rebuild;
+    return oracle::runCaptured(r, req);
+}
+
+/**
+ * Check one live-point run against the oracle: its table is plain
+ * sampling's (the restore path is bit-identical to warming), and each
+ * cell's manifest is the serial runCheckpointed() report's, carrying
+ * a "checkpoint" block with this cell's own outcome and the size of
+ * its library file.
+ */
+void
+expectLivepointRun(const oracle::CapturedRun &run,
+                   const std::vector<core::Config> &cfgs,
+                   const sim::SamplingOptions &opt,
+                   const std::string &dir, bool hit, bool stale)
+{
+    const std::vector<harness::Workload> ws = {checkpointWorkload()};
+    EXPECT_EQ(run.result.table.toString(),
+              oracle::sampledTable(ws, cfgs,
+                                   oracle::sampledReports(ws, cfgs, opt,
+                                                          false),
+                                   harness::missRatioMetric())
+                  .toString());
+    const auto reports = oracle::sampledReports(ws, cfgs, opt, true);
+    ASSERT_EQ(run.docs.size(), cfgs.size());
+    for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+        SCOPED_TRACE(cfgs[ci].name);
+        EXPECT_EQ(run.result.cells[ci].engine,
+                  harness::EngineTag::SampledLivepoint);
+        util::Json ck = util::Json::object();
+        ck.set("hits", std::uint64_t{hit});
+        ck.set("misses", std::uint64_t{!hit});
+        ck.set("stale", std::uint64_t{stale});
+        ck.set("bytes", libraryBytes(dir, cfgs[ci], opt));
+        const auto it =
+            run.docs.find(oracle::fileOf(ws[0].name, cfgs[ci]));
+        ASSERT_NE(it, run.docs.end());
+        EXPECT_EQ(oracle::stripTiming(it->second),
+                  oracle::sampledManifest(ws[0].name, cfgs[ci],
+                                          reports[0][ci], opt, &ck));
     }
 }
 
@@ -607,22 +661,18 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
         testing::TempDir() + "/saclp_runner_lib";
     fs::remove_all(dir);
 
-    const auto w = checkpointWorkload();
     const std::vector<core::Config> cfgs = {
         core::presets().get("standard"), core::presets().get("soft")};
     const auto opt = runnerSamplingOptions();
 
     // Cold: every cell misses, warms once and writes its library.
     harness::Runner cold;
-    const auto plain = cold.runSampled({w}, cfgs, opt, 1);
-    const auto first = cold.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto first = livepointSweep(cold, cfgs, opt, dir);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.misses"), 2u);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.stale"), 0u);
     EXPECT_GT(cold.checkpointCounter("checkpoint.bytes"), 0u);
-    for (const auto &cell : first[0])
-        EXPECT_TRUE(cell.fromCheckpoints);
-    expectCellsEqual(first, plain);
+    expectLivepointRun(first, cfgs, opt, dir, false, false);
     std::size_t files = 0;
     for (const auto &e : fs::recursive_directory_iterator(dir)) {
         if (e.path().extension() == ".saclp")
@@ -633,28 +683,28 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
     // Warm: a fresh process (Runner) serves every cell from the
     // library, bit-identically.
     harness::Runner warm;
-    const auto second = warm.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto second = livepointSweep(warm, cfgs, opt, dir);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.hits"), 2u);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.misses"), 0u);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.stale"), 0u);
-    expectCellsEqual(second, plain);
+    expectLivepointRun(second, cfgs, opt, dir, true, false);
 
     // A different geometry keys differently: no false hits, the
     // library grows alongside the old one.
     harness::Runner other_geometry;
     auto opt2 = opt;
     opt2.stride = 2048;
-    other_geometry.runSampled({w}, cfgs, opt2, 1, dir, false);
+    livepointSweep(other_geometry, cfgs, opt2, dir);
     EXPECT_EQ(other_geometry.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(other_geometry.checkpointCounter("checkpoint.misses"),
               2u);
 
     // --checkpoint-rebuild ignores the valid library and rewrites.
     harness::Runner rebuild;
-    const auto third = rebuild.runSampled({w}, cfgs, opt, 1, dir, true);
+    const auto third = livepointSweep(rebuild, cfgs, opt, dir, true);
     EXPECT_EQ(rebuild.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(rebuild.checkpointCounter("checkpoint.misses"), 2u);
-    expectCellsEqual(third, plain);
+    expectLivepointRun(third, cfgs, opt, dir, false, false);
 
     fs::remove_all(dir);
 }
@@ -666,14 +716,12 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
         testing::TempDir() + "/saclp_corrupt_lib";
     fs::remove_all(dir);
 
-    const auto w = checkpointWorkload();
     const std::vector<core::Config> cfgs = {
         core::presets().get("soft")};
     const auto opt = runnerSamplingOptions();
 
     harness::Runner cold;
-    const auto plain = cold.runSampled({w}, cfgs, opt, 1);
-    cold.runSampled({w}, cfgs, opt, 1, dir, false);
+    livepointSweep(cold, cfgs, opt, dir);
 
     // Flip a byte in the middle of the one .saclp file.
     std::string victim;
@@ -695,15 +743,15 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
     }
 
     harness::Runner stale;
-    const auto cells = stale.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto run = livepointSweep(stale, cfgs, opt, dir);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.stale"), 1u);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.misses"), 1u);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.hits"), 0u);
-    expectCellsEqual(cells, plain);
+    expectLivepointRun(run, cfgs, opt, dir, false, true);
 
     // The rewrite healed the library: the next run hits again.
     harness::Runner healed;
-    healed.runSampled({w}, cfgs, opt, 1, dir, false);
+    livepointSweep(healed, cfgs, opt, dir);
     EXPECT_EQ(healed.checkpointCounter("checkpoint.hits"), 1u);
     fs::remove_all(dir);
 }
@@ -720,15 +768,21 @@ TEST(CheckpointRunnerTest, ContiguousGeometryBypassesTheLibrary)
     opt.stride = 256; // no gap: nothing a library could save
     opt.warmup = 0;
 
+    const std::vector<core::Config> cfgs = {core::presets().get("soft")};
     harness::Runner r;
-    const auto cells = r.runSampled({checkpointWorkload()},
-                                    {core::presets().get("soft")}, opt,
-                                    1, dir, false);
-    EXPECT_FALSE(cells[0][0].fromCheckpoints);
+    const auto run = livepointSweep(r, cfgs, opt, dir);
+    ASSERT_EQ(run.result.cells.size(), 1u);
+    EXPECT_EQ(run.result.cells[0].engine, harness::EngineTag::Sampled);
     EXPECT_EQ(r.checkpointCounter("checkpoint.hits") +
                   r.checkpointCounter("checkpoint.misses"),
               0u);
     EXPECT_FALSE(fs::exists(dir));
+    const auto w = checkpointWorkload();
+    const auto report =
+        oracle::sampledReport(w.build(), cfgs[0], opt, false);
+    ASSERT_EQ(run.docs.size(), 1u);
+    EXPECT_EQ(oracle::stripTiming(run.docs.begin()->second),
+              oracle::sampledManifest(w.name, cfgs[0], report, opt));
 }
 
 } // namespace

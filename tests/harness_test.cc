@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests of the experiment harness: metric extraction, trace/result
- * caching, matrix rendering and CSV export.
+ * caching, figure-table rendering and CSV export.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -59,9 +59,9 @@ TEST(HarnessRunner, ResultsAreCachedPerConfig)
 {
     Runner r;
     const auto w = tinyWorkload();
-    r.run(w, core::presets().get("standard"));
-    r.run(w, core::presets().get("standard"));
-    r.run(w, core::presets().get("soft"));
+    r.cell(w, core::presets().get("standard"));
+    r.cell(w, core::presets().get("standard"));
+    r.cell(w, core::presets().get("soft"));
     EXPECT_EQ(r.runsExecuted(), 2u);
 }
 
@@ -76,8 +76,8 @@ TEST(HarnessRunner, SameLabelDifferentConfigDoesNotAlias)
     large.cacheSizeBytes = 64 * 1024;
     ASSERT_EQ(small.name, large.name);
     ASSERT_NE(small.cacheKey(), large.cacheKey());
-    const auto &s = r.run(w, small);
-    const auto &l = r.run(w, large);
+    const auto &s = r.cell(w, small).stats;
+    const auto &l = r.cell(w, large).stats;
     EXPECT_EQ(r.runsExecuted(), 2u);
     EXPECT_GT(s.misses, l.misses);
 }
@@ -107,11 +107,12 @@ TEST(ConfigCacheKey, IgnoresNameAndCoversEveryKnob)
 TEST(HarnessRunner, MatrixShapeAndContents)
 {
     Runner r;
-    const std::vector<Workload> ws{tinyWorkload("a"),
-                                   tinyWorkload("b")};
-    const auto table = r.matrix(
-        ws, {core::presets().get("standard"), core::presets().get("soft")},
-        harness::amatMetric());
+    harness::SweepRequest req;
+    req.workloads = {tinyWorkload("a"), tinyWorkload("b")};
+    req.configs = {core::presets().get("standard"),
+                   core::presets().get("soft")};
+    req.metric = harness::amatMetric();
+    const auto table = r.run(req).table;
     EXPECT_EQ(table.rows(), 2u);
     EXPECT_EQ(table.cols(), 3u);
     EXPECT_EQ(table.cell(0, 0), "a");

@@ -5,8 +5,8 @@
  * and — in builds with SAC_INTERVAL=ON — the differential guarantees
  * that per-interval deltas sum bit-for-bit to the final RunStats,
  * that attaching the instrumentation never perturbs the simulation,
- * and that writeInstrumentedCellManifest produces the profile block
- * plus the sibling interval series.
+ * and that an instrumented cell manifest (writeCellManifest with a
+ * trace) carries the profile block plus the sibling interval series.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/run_stats.hh"
 #include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
@@ -48,6 +48,27 @@ slurp(const std::string &path)
     std::stringstream content;
     content << in.rdbuf();
     return content.str();
+}
+
+/**
+ * Write the manifest of the recorded run (@p t, @p cfg, @p stats) of
+ * workload "MV" with @p io instrumentation, through the one cell
+ * manifest writer.
+ */
+std::string
+writeInstrumented(const std::string &dir, const core::Config &cfg,
+                  const trace::Trace &t, const sim::RunStats &stats,
+                  const harness::InstrumentOptions &io)
+{
+    harness::ManifestCell cell;
+    cell.workload = "MV";
+    cell.config = &cfg;
+    cell.stats = &stats;
+    cell.trace = &t;
+    cell.instrument = io;
+    cell.simSeconds = 0.5;
+    return harness::writeCellManifest(dir, cell,
+                                      harness::EngineTag::ExactReplay);
 }
 
 TEST(IntervalRecorder, SnapshotsEveryNAndFlushesThePartialTail)
@@ -287,8 +308,7 @@ TEST(InstrumentedManifest, WritesProfileBlockAndIntervalSeries)
         testing::TempDir() + "sac_instrumented_manifest_test";
 
     const harness::InstrumentOptions io{400, true};
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, io, 0.5);
+    const auto path = writeInstrumented(dir, cfg, t, stats, io);
     ASSERT_FALSE(path.empty());
 
     const auto doc = slurp(path);
@@ -321,8 +341,8 @@ TEST(InstrumentedManifest, NoInstrumentationRequestedWritesPlain)
     const std::string dir =
         testing::TempDir() + "sac_plain_manifest_test";
 
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, harness::InstrumentOptions{});
+    const auto path = writeInstrumented(dir, cfg, t, stats,
+                                        harness::InstrumentOptions{});
     ASSERT_FALSE(path.empty());
     const auto doc = slurp(path);
     EXPECT_EQ(doc.find("\"profile\""), std::string::npos);
@@ -344,8 +364,7 @@ TEST(InstrumentedManifest, CompiledOutBuildFallsBackToPlainManifest)
         testing::TempDir() + "sac_fallback_manifest_test";
 
     const harness::InstrumentOptions io{400, true};
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, io, 0.5);
+    const auto path = writeInstrumented(dir, cfg, t, stats, io);
     ASSERT_FALSE(path.empty());
     const auto doc = slurp(path);
     EXPECT_EQ(doc.find("\"profile\""), std::string::npos);

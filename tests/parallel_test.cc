@@ -11,18 +11,16 @@
  * completion cycle), and Runner::run() with intraJobs > 1 must
  * produce the same tables and manifests (modulo the wall-clock
  * "timing" object) as intraJobs == 1 while counting its work in the
- * parallel.* counters. Stack passes of different workloads run side
- * by side on the sweep pool and must render exactly what the serial
- * sweep renders.
+ * parallel.* counters. The engine-level set shards are the
+ * StackDistanceEngine's own; the harness never shards a stack pass.
+ * Stack passes of different workloads run side by side on the sweep
+ * pool and must render exactly what the serial-replay oracle renders.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,6 +35,7 @@
 #include "src/util/json.hh"
 #include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -410,50 +409,19 @@ mvWorkload(const std::string &name, int n)
             nullptr};
 }
 
-std::map<std::string, std::string>
-readManifests(const std::string &dir)
-{
-    std::map<std::string, std::string> out;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        if (e.path().extension() != ".json")
-            continue;
-        std::ifstream is(e.path());
-        std::ostringstream os;
-        os << is.rdbuf();
-        out[e.path().filename().string()] = os.str();
-    }
-    return out;
-}
-
-/** Drop the wall-clock "timing" object (where "parallel" lives). */
-std::string
-stripTiming(const std::string &document)
-{
-    std::string err;
-    auto parsed = Json::parse(document, &err);
-    EXPECT_TRUE(parsed.has_value()) << err;
-    if (!parsed)
-        return "";
-    Json out = Json::object();
-    for (const auto &member : parsed->members()) {
-        if (member.first != "timing")
-            out.set(member.first, member.second);
-    }
-    return out.dump(2);
-}
-
 void
 expectManifestsEquivalent(const std::string &serial_dir,
                           const std::string &parallel_dir)
 {
-    const auto serial = readManifests(serial_dir);
-    const auto parallel = readManifests(parallel_dir);
+    const auto serial = oracle::readManifests(serial_dir);
+    const auto parallel = oracle::readManifests(parallel_dir);
     ASSERT_EQ(serial.size(), parallel.size());
     for (const auto &entry : serial) {
         SCOPED_TRACE(entry.first);
         const auto it = parallel.find(entry.first);
         ASSERT_NE(it, parallel.end()) << "missing " << entry.first;
-        EXPECT_EQ(stripTiming(entry.second), stripTiming(it->second));
+        EXPECT_EQ(oracle::stripTiming(entry.second),
+                  oracle::stripTiming(it->second));
     }
 }
 
@@ -487,70 +455,51 @@ TEST(IntraJobsDifferential, LivepointSweepIsBitIdenticalAndCounted)
     EXPECT_GT(parallel.second, 0u)
         << "intraJobs=4 must actually replay windows concurrently";
     EXPECT_EQ(parallel.first, serial.first);
+    const std::vector<Workload> ws = {mvWorkload("MV-intra", 40)};
+    const std::vector<core::Config> cfgs = {
+        core::presets().get("standard"), core::presets().get("soft")};
+    EXPECT_EQ(serial.first,
+              oracle::sampledTable(
+                  ws, cfgs,
+                  oracle::sampledReports(ws, cfgs,
+                                         sampling(128, 1024, 256), false),
+                  harness::missRatioMetric())
+                  .toString());
     expectManifestsEquivalent(base + "/manifests1",
                               base + "/manifests4");
     fs::remove_all(base);
 }
 
-TEST(IntraJobsDifferential, StackSweepIsBitIdenticalAndCounted)
-{
-    namespace fs = std::filesystem;
-    const std::string base = testing::TempDir() + "/intra_stack";
-    fs::remove_all(base);
-
-    auto small = core::presets().get("standard");
-    auto large = core::presets().get("standard");
-    large.name = "standard-64K";
-    large.cacheSizeBytes = 64 * 1024;
-
-    const auto run = [&](unsigned intra_jobs) {
-        Runner r;
-        SweepRequest req;
-        req.workloads = {mvWorkload("MV-shard", 36)};
-        req.configs = {small, large};
-        req.metric = harness::missRatioMetric();
-        req.intraJobs = intra_jobs;
-        req.telemetry.manifestDir =
-            base + "/manifests" + std::to_string(intra_jobs);
-        const auto result = r.run(req);
-        return std::make_pair(result.table.toString(),
-                              r.parallelCounter("parallel.shards"));
-    };
-
-    const auto serial = run(1);
-    const auto parallel = run(3);
-    EXPECT_EQ(serial.second, 0u);
-    EXPECT_EQ(parallel.second, 3u)
-        << "one traversal sharded three ways";
-    EXPECT_EQ(parallel.first, serial.first);
-    expectManifestsEquivalent(base + "/manifests1",
-                              base + "/manifests3");
-    fs::remove_all(base);
-}
-
 TEST(IntraJobsPolicy, AutoNeverShardsStackPasses)
 {
-    // Two cells, four jobs: auto would hand each cell two workers,
-    // but a set-sharded stack pass costs more per record than one
-    // unsharded pass, so auto leaves stack passes whole.
+    // intraJobs applies to live-point window replay only: an explicit
+    // value on a stack request still runs one unsharded traversal per
+    // workload and renders the serial-replay oracle's table.
     auto small = core::presets().get("standard");
     auto large = core::presets().get("standard");
     large.name = "standard-64K";
     large.cacheSizeBytes = 64 * 1024;
+    const std::vector<Workload> ws = {mvWorkload("MV-auto-stack", 36)};
+    const std::vector<core::Config> cfgs = {small, large};
+    const auto expected =
+        oracle::exactTable(ws, cfgs, harness::missRatioMetric())
+            .toString();
 
-    const auto run = [&](unsigned jobs) {
+    for (const unsigned intra : {0u, 1u, 3u}) {
+        SCOPED_TRACE("intraJobs=" + std::to_string(intra));
         Runner r;
         SweepRequest req;
-        req.workloads = {mvWorkload("MV-auto-stack", 36)};
-        req.configs = {small, large};
+        req.workloads = ws;
+        req.configs = cfgs;
         req.metric = harness::missRatioMetric();
-        req.jobs = jobs;
+        req.jobs = 4;
+        req.intraJobs = intra;
         const auto result = r.run(req);
         EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
-        EXPECT_EQ(r.parallelCounter("parallel.shards"), 0u);
-        return result.table.toString();
-    };
-    EXPECT_EQ(run(4), run(1));
+        EXPECT_EQ(r.stackCounter("stack.pass.records"),
+                  ws[0].build().size());
+        EXPECT_EQ(result.table.toString(), expected);
+    }
 }
 
 TEST(IntraJobsPolicy, AutoShardsOnlyWhenCellsCannotFillJobs)
@@ -646,7 +595,10 @@ TEST(ParallelStackPasses, PoolRunIsBitIdenticalToSerial)
     const auto serial = run(1);
     const auto pooled = run(4);
     EXPECT_EQ(pooled, serial);
-    EXPECT_EQ(readManifests(base + "/manifests4").size(),
+    EXPECT_EQ(serial, oracle::exactTable(workloads, standardLattice(),
+                                         harness::missRatioMetric())
+                          .toString());
+    EXPECT_EQ(oracle::readManifests(base + "/manifests4").size(),
               workloads.size() * standardLattice().size());
     expectManifestsEquivalent(base + "/manifests1",
                               base + "/manifests4");

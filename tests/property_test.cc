@@ -11,9 +11,10 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -275,42 +276,48 @@ paperSweepConfigs()
             core::presets().get("soft-spatial"), core::presets().get("soft")};
 }
 
+/** A request over @p workloads x @p configs on @p jobs workers. */
+harness::SweepRequest
+sweepRequest(const std::vector<harness::Workload> &workloads,
+             const std::vector<Config> &configs,
+             const harness::Metric &metric, unsigned jobs)
+{
+    harness::SweepRequest req;
+    req.workloads = workloads;
+    req.configs = configs;
+    req.metric = metric;
+    req.jobs = jobs;
+    return req;
+}
+
 /**
- * Parallel-vs-serial equivalence on the full paperWorkloads() x
- * paper-config sweep: runMatrix must render a byte-identical table
- * (compared as CSV) and execute exactly the same number of
- * simulations and trace generations as the serial path.
+ * Parallel sweep against the serial oracle on the full
+ * paperWorkloads() x paper-config sweep: the request must render the
+ * table a serial core::simulateTrace loop renders (compared as CSV),
+ * simulating each cell and generating each trace exactly once.
  */
-TEST(ParallelSweep, MatrixAndRunMatrixAreByteIdentical)
+TEST(ParallelSweep, RequestMatchesSerialOracleByteForByte)
 {
     const auto workloads = harness::paperWorkloads();
     const auto configs = paperSweepConfigs();
     const auto metric = harness::amatMetric();
-
-    harness::Runner serial;
-    const auto serial_table = serial.matrix(workloads, configs, metric);
+    const auto expected = harness::toCsv(
+        oracle::exactTable(workloads, configs, metric));
 
     harness::Runner parallel;
-    const auto parallel_table =
-        parallel.runMatrix(workloads, configs, metric, 4);
-
-    EXPECT_EQ(harness::toCsv(serial_table),
-              harness::toCsv(parallel_table));
-    EXPECT_EQ(serial.runsExecuted(), parallel.runsExecuted());
-    EXPECT_EQ(serial.tracesGenerated(), parallel.tracesGenerated());
+    const auto req = sweepRequest(workloads, configs, metric, 4);
+    EXPECT_EQ(harness::toCsv(parallel.run(req).table), expected);
     EXPECT_EQ(parallel.runsExecuted(),
               workloads.size() * configs.size());
     EXPECT_EQ(parallel.tracesGenerated(), workloads.size());
 
     // A second parallel sweep over the same cells is fully cached.
-    const auto again =
-        parallel.runMatrix(workloads, configs, metric, 4);
-    EXPECT_EQ(harness::toCsv(again), harness::toCsv(parallel_table));
+    EXPECT_EQ(harness::toCsv(parallel.run(req).table), expected);
     EXPECT_EQ(parallel.runsExecuted(),
               workloads.size() * configs.size());
 }
 
-/** jobs=1 takes the serial path and still renders the same bytes. */
+/** jobs=1 takes the serial path and still renders the oracle's bytes. */
 TEST(ParallelSweep, SingleJobDegeneratesToSerial)
 {
     const auto workloads = harness::paperWorkloads();
@@ -318,17 +325,18 @@ TEST(ParallelSweep, SingleJobDegeneratesToSerial)
                                       core::presets().get("soft")};
     const auto metric = harness::missRatioMetric();
 
-    harness::Runner serial;
     harness::Runner one_job;
     EXPECT_EQ(
-        harness::toCsv(serial.matrix(workloads, configs, metric)),
+        harness::toCsv(oracle::exactTable(workloads, configs, metric)),
         harness::toCsv(
-            one_job.runMatrix(workloads, configs, metric, 1)));
+            one_job.run(sweepRequest(workloads, configs, metric, 1))
+                .table));
 }
 
 /**
- * Thread-count independence: every jobs value renders the same bytes
- * on randomized synthetic workloads, including more jobs than cells.
+ * Thread-count independence: every jobs value renders the oracle's
+ * bytes on randomized synthetic workloads, including more jobs than
+ * cells.
  */
 TEST(ParallelSweep, JobCountDoesNotChangeBytes)
 {
@@ -348,13 +356,13 @@ TEST(ParallelSweep, JobCountDoesNotChangeBytes)
         core::presets().get("soft"), core::presets().get("variable")};
     const auto metric = harness::wordsPerAccessMetric();
 
-    harness::Runner serial;
     const auto expected =
-        harness::toCsv(serial.matrix(ws, configs, metric));
+        harness::toCsv(oracle::exactTable(ws, configs, metric));
     for (const unsigned jobs : {2u, 3u, 8u, 32u}) {
         harness::Runner r;
         EXPECT_EQ(harness::toCsv(
-                      r.runMatrix(ws, configs, metric, jobs)),
+                      r.run(sweepRequest(ws, configs, metric, jobs))
+                          .table),
                   expected)
             << "jobs=" << jobs;
         EXPECT_EQ(r.runsExecuted(), ws.size() * configs.size());

@@ -4,8 +4,9 @@
  * parsing, and a live in-process SweepServer driven over real Unix
  * sockets — streamed manifests byte-equivalent to the CLI path,
  * concurrent clients sharing one trace generation / stack pass /
- * checkpoint build through the shared Runner, admission control, and
- * graceful drain. All multi-threaded paths run under the TSan CI leg.
+ * checkpoint build through the shared Runner, admission control,
+ * graceful drain, and silent clients that must neither pin a handler
+ * nor hang drain. All multi-threaded paths run under the TSan CI leg.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "src/service/server.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -98,22 +100,6 @@ submitBody(const std::string &extra = "")
                        "\"workloads\":[\"MV\"],"
                        "\"presets\":[\"standard\",\"soft\"]") +
            extra + "}";
-}
-
-/** Drop the wall-clock "timing" member before comparing documents. */
-std::string
-stripTiming(const std::string &document)
-{
-    std::string err;
-    auto parsed = Json::parse(document, &err);
-    EXPECT_TRUE(parsed.has_value()) << err;
-    if (!parsed)
-        return "";
-    Json out = Json::object();
-    for (const auto &member : parsed->members())
-        if (member.first != "timing")
-            out.set(member.first, member.second);
-    return out.dump(2);
 }
 
 TEST(ServiceFraming, RoundTripsOverASocketPair)
@@ -272,7 +258,8 @@ TEST(ServiceServer, StreamsManifestsByteEquivalentToTheCliPath)
         std::ifstream is(cli_dir + "/" + cell.manifestFile);
         std::ostringstream os;
         os << is.rdbuf();
-        EXPECT_EQ(stripTiming(it->second), stripTiming(os.str()));
+        EXPECT_EQ(oracle::stripTiming(it->second),
+                  oracle::stripTiming(os.str()));
     }
     fs::remove_all(cli_dir);
 }
@@ -477,6 +464,77 @@ TEST(ServiceServer, FinishedHandlerThreadsAreJoinedAsTheyGo)
     ::close(fd);
     drainer.join();
     EXPECT_EQ(server.unjoinedHandlers(), 0u);
+}
+
+/**
+ * Connect a client that sends only @p sent bytes of a request header
+ * and then stays silent; wait until the server holds its handler.
+ */
+int
+connectSilentClient(const SweepServer &server, const std::string &socket,
+                    std::size_t sent)
+{
+    const int fd = connectTo(socket);
+    EXPECT_GE(fd, 0);
+    const unsigned char header[4] = {0, 0, 0, 32};
+    if (fd >= 0 && sent > 0) {
+        EXPECT_EQ(::write(fd, header, sent), static_cast<ssize_t>(sent));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.unjoinedHandlers() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(server.unjoinedHandlers(), 1u);
+    return fd;
+}
+
+/** requestShutdown() + drain() must not wait on a silent client. */
+void
+expectPromptDrain(SweepServer &server)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    server.requestShutdown();
+    EXPECT_TRUE(server.waitForShutdown(2000));
+    server.drain();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(2));
+    EXPECT_EQ(server.unjoinedHandlers(), 0u);
+}
+
+TEST(ServiceServer, SilentClientDoesNotHangDrain)
+{
+    const std::string socket = uniqueSocketPath("silent");
+    SweepServer server({socket, 1, 4});
+    ASSERT_TRUE(server.start());
+    const int fd = connectSilentClient(server, socket, 0);
+    expectPromptDrain(server);
+    ::close(fd);
+}
+
+TEST(ServiceServer, HalfSentHeaderDoesNotHangDrain)
+{
+    const std::string socket = uniqueSocketPath("halfheader");
+    SweepServer server({socket, 1, 4});
+    ASSERT_TRUE(server.start());
+    const int fd = connectSilentClient(server, socket, 2);
+    expectPromptDrain(server);
+    ::close(fd);
+}
+
+TEST(ServiceServer, SilentClientDoesNotBlockLaterRequests)
+{
+    const std::string socket = uniqueSocketPath("silentthenserve");
+    SweepServer server({socket, 1, 4});
+    ASSERT_TRUE(server.start());
+    const int fd = connectSilentClient(server, socket, 0);
+
+    const auto frames = roundTrip(socket, submitBody());
+    ASSERT_GE(frames.size(), 2u);
+    EXPECT_EQ(frameType(frames.front()), "accepted");
+    EXPECT_EQ(frameType(frames.back()), "done");
+    expectPromptDrain(server);
+    ::close(fd);
 }
 
 TEST(ServiceServer, ShutdownVerbRequestsTermination)

@@ -19,6 +19,7 @@
 #include "src/telemetry/manifest.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -90,23 +91,6 @@ mixedConfigs()
 constexpr std::size_t kSharedGeometries = 2;  // 8 KB/32 B and 8 KB/64 B
 constexpr std::size_t kSharedConfigs = 14 + 2; // their members
 
-/** A manifest without its wall-clock "timing" member. */
-std::string
-stripTiming(const std::string &document)
-{
-    std::string err;
-    auto parsed = util::Json::parse(document, &err);
-    EXPECT_TRUE(parsed.has_value()) << err;
-    if (!parsed)
-        return "";
-    util::Json out = util::Json::object();
-    for (const auto &member : parsed->members()) {
-        if (member.first != "timing")
-            out.set(member.first, member.second);
-    }
-    return out.dump(2);
-}
-
 struct SweepRun
 {
     SweepResult result;
@@ -143,10 +127,10 @@ TEST(SharedShadow, SweepIsBitIdenticalToLiveClassifier)
     std::vector<trace::Trace> traces;
     for (const auto &w : wls)
         traces.push_back(w.build());
-    std::vector<sim::RunStats> oracle;
+    std::vector<sim::RunStats> replayed;
     for (const auto &t : traces) {
         for (const auto &cfg : configs)
-            oracle.push_back(core::simulateTrace(t, cfg));
+            replayed.push_back(core::simulateTrace(t, cfg));
     }
     const harness::Metric metric = harness::amatMetric();
     std::vector<std::string> headers{"Benchmark"};
@@ -158,7 +142,7 @@ TEST(SharedShadow, SweepIsBitIdenticalToLiveClassifier)
         want_table.set(row, 0, wls[wi].name);
         for (std::size_t ci = 0; ci < n_c; ++ci) {
             want_table.setNumber(row, ci + 1,
-                                 metric.extract(oracle[wi * n_c + ci]),
+                                 metric.extract(replayed[wi * n_c + ci]),
                                  metric.decimals);
         }
     }
@@ -182,17 +166,18 @@ TEST(SharedShadow, SweepIsBitIdenticalToLiveClassifier)
             SCOPED_TRACE(c.workload + " x " + c.configName);
             const core::Config &cfg = configs[i % n_c];
             EXPECT_EQ(c.engine, EngineTag::ExactReplay);
-            EXPECT_TRUE(runner.cell(wls[i / n_c], cfg).stats == oracle[i]);
+            EXPECT_TRUE(runner.cell(wls[i / n_c], cfg).stats == replayed[i]);
             harness::ManifestCell mc;
             mc.workload = c.workload;
             mc.config = &cfg;
-            mc.stats = &oracle[i];
+            mc.stats = &replayed[i];
             const std::string want = telemetry::manifestJson(
                 harness::renderCellManifest(mc, EngineTag::ExactReplay))
                                          .dump(2);
             const auto doc = run.docs.find(c.manifestFile);
             ASSERT_NE(doc, run.docs.end()) << c.manifestFile;
-            EXPECT_EQ(stripTiming(doc->second), stripTiming(want));
+            EXPECT_EQ(oracle::stripTiming(doc->second),
+                      oracle::stripTiming(want));
         }
         runs.emplace(jobs, std::move(run));
     }
@@ -204,7 +189,9 @@ TEST(SharedShadow, SweepIsBitIdenticalToLiveClassifier)
     for (const auto &[file, doc] : runs[1].docs) {
         const auto other = runs[4].docs.find(file);
         ASSERT_NE(other, runs[4].docs.end()) << file;
-        EXPECT_EQ(stripTiming(doc), stripTiming(other->second)) << file;
+        EXPECT_EQ(oracle::stripTiming(doc),
+                  oracle::stripTiming(other->second))
+            << file;
     }
 }
 

@@ -19,8 +19,9 @@
  *    reference-model miss ratio on long uniform-random traces — an
  *    oracle that shares no code with the simulator or the engine.
  *
- * Plus the harness integration (StackFamily): runMatrix dispatching a
- * standard family to ONE traversal, the stack.pass.* counters, and
+ * Plus the harness integration (StackFamily): a SweepRequest
+ * dispatching a standard family to ONE traversal, rendering the
+ * serial-replay oracle's table, the stack.pass.* counters, and
  * the StackRegression guard that configurations differing only in
  * fields the stack pass folds away still occupy distinct cells.
  */
@@ -34,12 +35,13 @@
 #include "src/check/trace_fuzzer.hh"
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/trace/trace_source.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -528,39 +530,74 @@ TEST(StackRegression, FoldedConfigsGetDistinctManifestCells)
     b.writeBufferEntries = 64;
     b.name = "Stand. wb=64";
 
+    const std::string dir =
+        testing::TempDir() + "sac_stack_manifest_test";
+    std::filesystem::remove_all(dir);
     harness::Runner r;
     const auto w = mvWorkload();
-    r.runMatrix({w}, {a, b}, harness::missRatioMetric(), 1);
+    harness::SweepRequest req;
+    req.workloads = {w};
+    req.configs = {a, b};
+    req.metric = harness::missRatioMetric();
+    req.telemetry.manifestDir = dir;
+    const auto result = r.run(req);
     // Same geometry: one traversal covers both cells.
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(r.stackCounter("stack.pass.cells"), 2u);
     EXPECT_EQ(r.runsExecuted(), 0u);
 
-    const std::string dir =
-        testing::TempDir() + "sac_stack_manifest_test";
-    std::filesystem::remove_all(dir);
-    sim::StackDistanceEngine eng(
-        {harness::stackPointOf(a), harness::stackPointOf(b)});
-    trace::MemoryTraceSource src(mvTrace());
-    eng.run(src);
-    const auto pa = harness::writeStackCellManifest(
-        dir, w.name, a, harness::stackStatsFor(eng, a), 2);
-    const auto pb = harness::writeStackCellManifest(
-        dir, w.name, b, harness::stackStatsFor(eng, b), 2);
+    ASSERT_EQ(result.cells.size(), 2u);
+    const auto &pa = result.cells[0].manifestPath;
+    const auto &pb = result.cells[1].manifestPath;
     ASSERT_FALSE(pa.empty());
     ASSERT_FALSE(pb.empty());
     EXPECT_NE(pa, pb); // distinct cells, not one overwritten file
 
-    std::ifstream in(pa);
-    std::stringstream content;
-    content << in.rdbuf();
-    EXPECT_NE(content.str().find("stack-single-pass"),
-              std::string::npos);
-    EXPECT_NE(content.str().find("family_size"), std::string::npos);
+    // Each file holds its own config's counts from an independent
+    // stack pass, tagged with the engine and the family size.
+    sim::StackDistanceEngine eng(
+        {harness::stackPointOf(a), harness::stackPointOf(b)});
+    trace::MemoryTraceSource src(mvTrace());
+    eng.run(src);
+    const auto docs = oracle::readManifests(dir);
+    for (const auto *cfg : {&a, &b}) {
+        SCOPED_TRACE(cfg->name);
+        const auto it = docs.find(oracle::fileOf(w.name, *cfg));
+        ASSERT_NE(it, docs.end());
+        EXPECT_EQ(oracle::stripTiming(it->second),
+                  oracle::exactManifest(
+                      w.name, *cfg, harness::stackStatsFor(eng, *cfg),
+                      harness::EngineTag::StackSinglePass, 2));
+        EXPECT_NE(it->second.find("stack-single-pass"),
+                  std::string::npos);
+        EXPECT_NE(it->second.find("family_size"), std::string::npos);
+    }
     std::filesystem::remove_all(dir);
 }
 
 // --- StackFamily: harness integration -------------------------------
+
+/** Sweep @p configs over the MV workload on @p jobs workers. */
+util::Table
+sweepMv(harness::Runner &r, const std::vector<core::Config> &configs,
+        const harness::Metric &metric, unsigned jobs)
+{
+    harness::SweepRequest req;
+    req.workloads = {mvWorkload()};
+    req.configs = configs;
+    req.metric = metric;
+    req.jobs = jobs;
+    return r.run(req).table;
+}
+
+/** The serial-replay oracle table of @p configs over MV. */
+std::string
+oracleCsv(const std::vector<core::Config> &configs,
+          const harness::Metric &metric)
+{
+    return harness::toCsv(
+        oracle::exactTable({mvWorkload()}, configs, metric));
+}
 
 TEST(StackFamily, EligibilityFollowsTheStandardFeaturePath)
 {
@@ -612,42 +649,39 @@ TEST(StackFamily, EightCellSweepIsExactlyOneTraversal)
     ASSERT_EQ(configs.size(), 8u);
 
     harness::Runner stacked;
-    const auto table = stacked.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 4);
+    const auto table =
+        sweepMv(stacked, configs, harness::missRatioMetric(), 4);
     EXPECT_EQ(stacked.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(stacked.stackCounter("stack.pass.records"),
               mvTrace().size());
     EXPECT_EQ(stacked.stackCounter("stack.pass.cells"), 8u);
     EXPECT_EQ(stacked.stackCounter("stack.pass.fallback_cells"), 0u);
     EXPECT_EQ(stacked.runsExecuted(), 0u);
-
-    harness::Runner replayed;
-    const auto reference = replayed.matrix(
-        {mvWorkload()}, configs, harness::missRatioMetric());
-    EXPECT_EQ(replayed.runsExecuted(), 8u);
-    EXPECT_EQ(harness::toCsv(table), harness::toCsv(reference));
+    EXPECT_EQ(harness::toCsv(table),
+              oracleCsv(configs, harness::missRatioMetric()));
 }
 
 TEST(StackFamily, SecondSweepServesFromTheStackStore)
 {
     const auto configs = eightCellFamily();
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, configs,
-                harness::missRatioMetric(), 2);
-    r.runMatrix({mvWorkload()}, configs,
-                harness::wordsPerAccessMetric(), 2);
+    sweepMv(r, configs, harness::missRatioMetric(), 2);
+    const auto words =
+        sweepMv(r, configs, harness::wordsPerAccessMetric(), 2);
     // Still one traversal: the second sweep (even under a different
     // derivable metric) is served entirely from the stack store.
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(r.stackCounter("stack.pass.cached_cells"), 8u);
     EXPECT_EQ(r.runsExecuted(), 0u);
+    EXPECT_EQ(harness::toCsv(words),
+              oracleCsv(configs, harness::wordsPerAccessMetric()));
 }
 
 TEST(StackFamily, TimingMetricFallsBackToExactReplay)
 {
     const auto configs = eightCellFamily();
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, configs, harness::amatMetric(), 2);
+    sweepMv(r, configs, harness::amatMetric(), 2);
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 0u);
     EXPECT_EQ(r.runsExecuted(), 8u);
 }
@@ -666,26 +700,22 @@ TEST(StackFamily, MixedSweepSplitsFamilyFromFallback)
     configs.push_back(core::presets().get("victim"));
 
     harness::Runner r;
-    const auto table = r.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 2);
+    const auto table =
+        sweepMv(r, configs, harness::missRatioMetric(), 2);
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(r.stackCounter("stack.pass.cells"), 4u);
     EXPECT_EQ(r.stackCounter("stack.pass.fallback_cells"), 2u);
     EXPECT_EQ(r.runsExecuted(), 2u);
-
-    harness::Runner reference;
     EXPECT_EQ(harness::toCsv(table),
-              harness::toCsv(reference.matrix(
-                  {mvWorkload()}, configs,
-                  harness::missRatioMetric())));
+              oracleCsv(configs, harness::missRatioMetric()));
 }
 
 TEST(StackFamily, SingleEligibleConfigIsNotWorthAPass)
 {
     // A family of one gains nothing over a replay: no stack dispatch.
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, {core::presets().get("standard")},
-                harness::missRatioMetric(), 1);
+    sweepMv(r, {core::presets().get("standard")},
+            harness::missRatioMetric(), 1);
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 0u);
     EXPECT_EQ(r.runsExecuted(), 1u);
 }
@@ -697,21 +727,16 @@ TEST(StackFamily, StackStatsNeverPoisonTheExactCellCache)
     // cell cache are separate by design.
     const auto configs = eightCellFamily();
     harness::Runner r;
-    const auto miss_table = r.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 2);
+    const auto miss_table =
+        sweepMv(r, configs, harness::missRatioMetric(), 2);
     EXPECT_EQ(r.runsExecuted(), 0u);
-    const auto amat_table = r.runMatrix({mvWorkload()}, configs,
-                                        harness::amatMetric(), 2);
+    const auto amat_table = sweepMv(r, configs, harness::amatMetric(), 2);
     EXPECT_EQ(r.runsExecuted(), 8u); // exact replays really happened
 
-    harness::Runner reference;
     EXPECT_EQ(harness::toCsv(amat_table),
-              harness::toCsv(reference.matrix(
-                  {mvWorkload()}, configs, harness::amatMetric())));
+              oracleCsv(configs, harness::amatMetric()));
     EXPECT_EQ(harness::toCsv(miss_table),
-              harness::toCsv(reference.matrix(
-                  {mvWorkload()}, configs,
-                  harness::missRatioMetric())));
+              oracleCsv(configs, harness::missRatioMetric()));
 }
 
 } // namespace

@@ -164,7 +164,7 @@ TEST(Streaming, RunStreamedMatchesCachedRunnerResults)
             runner.runStreamed(w, configs, jobs, /*chunk_records=*/64);
         ASSERT_EQ(streamed.size(), configs.size());
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_TRUE(streamed[i] == runner.run(w, configs[i]))
+            EXPECT_TRUE(streamed[i] == runner.cell(w, configs[i]).stats)
                 << configs[i].name << " jobs=" << jobs;
         }
     }
@@ -181,7 +181,7 @@ TEST(Streaming, RunStreamedFallsBackToBuildWithoutStream)
         runner.runStreamed(w, {core::presets().get("soft")}, 0);
     ASSERT_EQ(streamed.size(), 1u);
     EXPECT_TRUE(streamed[0] ==
-                runner.run(w, core::presets().get("soft")));
+                runner.cell(w, core::presets().get("soft")).stats);
 }
 
 // --- Feature-specialized dispatch matches the general path ---------

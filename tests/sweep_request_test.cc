@@ -2,21 +2,22 @@
  * @file
  * Tests of the request-oriented sweep API (src/harness/sweep.hh):
  * SweepRequest validation, engine routing, and the differential
- * proofs that Runner::run() reproduces the legacy
- * runMatrix()/runSampled()+manifest-writer sequence byte for byte
- * (tables exactly; manifests modulo the wall-clock "timing" object).
+ * proofs that Runner::run() reproduces the serial oracle
+ * (tests/sweep_oracle.hh: core::simulateTrace and SampledEngine run
+ * directly, rendered through renderCellManifest) byte for byte —
+ * tables exactly, manifests modulo the wall-clock "timing" object.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <optional>
 
 #include "src/harness/sweep.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/sweep_oracle.hh"
 
 namespace {
 
@@ -75,58 +76,6 @@ testSampling()
     opt.stride = 1024;
     opt.warmup = 256;
     return opt;
-}
-
-/** All manifest documents under @p dir, keyed by file name. */
-std::map<std::string, std::string>
-readManifests(const std::string &dir)
-{
-    std::map<std::string, std::string> out;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        if (e.path().extension() != ".json")
-            continue;
-        std::ifstream is(e.path());
-        std::ostringstream os;
-        os << is.rdbuf();
-        out[e.path().filename().string()] = os.str();
-    }
-    return out;
-}
-
-/**
- * Normalize a manifest for comparison: drop the wall-clock "timing"
- * object (sim_seconds differs between any two runs), keep everything
- * else byte-exact via the ordered writer.
- */
-std::string
-stripTiming(const std::string &document)
-{
-    std::string err;
-    auto parsed = Json::parse(document, &err);
-    EXPECT_TRUE(parsed.has_value()) << err;
-    if (!parsed)
-        return "";
-    Json out = Json::object();
-    for (const auto &member : parsed->members()) {
-        if (member.first != "timing")
-            out.set(member.first, member.second);
-    }
-    return out.dump(2);
-}
-
-void
-expectManifestsEquivalent(const std::string &legacy_dir,
-                          const std::string &new_dir)
-{
-    const auto legacy = readManifests(legacy_dir);
-    const auto fresh = readManifests(new_dir);
-    ASSERT_EQ(legacy.size(), fresh.size());
-    for (const auto &entry : legacy) {
-        SCOPED_TRACE(entry.first);
-        const auto it = fresh.find(entry.first);
-        ASSERT_NE(it, fresh.end()) << "missing " << entry.first;
-        EXPECT_EQ(stripTiming(entry.second), stripTiming(it->second));
-    }
 }
 
 TEST(SweepRequestValidation, CatchesContradictions)
@@ -189,14 +138,11 @@ TEST(SweepRequestValidation, EngineNamesRoundTrip)
                  "stack-single-pass");
 }
 
-TEST(SweepRequestDifferential, ExactTableMatchesRunMatrix)
+TEST(SweepRequestDifferential, ExactTableMatchesSerialOracle)
 {
     const auto ws = twoWorkloads();
     const auto cfgs = mixedConfigs();
     const auto metric = harness::amatMetric();
-
-    Runner legacy;
-    const util::Table expected = legacy.runMatrix(ws, cfgs, metric, 2);
 
     Runner fresh;
     SweepRequest req;
@@ -205,7 +151,8 @@ TEST(SweepRequestDifferential, ExactTableMatchesRunMatrix)
     req.metric = metric;
     req.jobs = 2;
     const SweepResult result = fresh.run(req);
-    EXPECT_EQ(result.table.toString(), expected.toString());
+    EXPECT_EQ(result.table.toString(),
+              oracle::exactTable(ws, cfgs, metric).toString());
     ASSERT_EQ(result.cells.size(), ws.size() * cfgs.size());
     for (const auto &cell : result.cells)
         EXPECT_EQ(cell.engine, EngineTag::ExactReplay); // AMAT: no stack
@@ -213,75 +160,73 @@ TEST(SweepRequestDifferential, ExactTableMatchesRunMatrix)
 
 TEST(SweepRequestDifferential, ExactManifestsMatchLegacyWriters)
 {
+    // The manifests on disk are exactly what renderCellManifest()
+    // makes of the oracle's stats, one file per cell, for exact and
+    // stack-served cells.
     namespace fs = std::filesystem;
-    const std::string legacy_dir =
-        testing::TempDir() + "/sweepreq_exact_legacy";
-    const std::string new_dir =
-        testing::TempDir() + "/sweepreq_exact_new";
-    fs::remove_all(legacy_dir);
-    fs::remove_all(new_dir);
+    const std::string dir = testing::TempDir() + "/sweepreq_exact_new";
+    fs::remove_all(dir);
 
     const auto ws = twoWorkloads();
     const auto cfgs = mixedConfigs();
-    const auto metric = harness::amatMetric();
 
-    // Legacy path: runMatrix + per-cell writeCellManifest.
-    Runner legacy;
-    legacy.runMatrix(ws, cfgs, metric, 1);
-    for (const auto &w : ws) {
-        for (const auto &cfg : cfgs) {
-            const auto &cell = legacy.cell(w, cfg);
-            ASSERT_FALSE(harness::writeCellManifest(
-                             legacy_dir, w.name, cfg, cell.stats,
-                             cell.simSeconds)
-                             .empty());
+    for (const auto &metric :
+         {harness::amatMetric(), harness::missRatioMetric()}) {
+        SCOPED_TRACE(metric.name);
+        fs::remove_all(dir);
+        Runner fresh;
+        SweepRequest req;
+        req.workloads = ws;
+        req.configs = cfgs;
+        req.metric = metric;
+        req.jobs = 2;
+        req.telemetry.manifestDir = dir;
+        const SweepResult result = fresh.run(req);
+        EXPECT_EQ(result.manifestFailures, 0u);
+        EXPECT_EQ(result.manifestsWritten, ws.size() * cfgs.size());
+
+        const auto stats = oracle::exactStats(ws, cfgs);
+        const auto on_disk = oracle::readManifests(dir);
+        ASSERT_EQ(on_disk.size(), ws.size() * cfgs.size());
+        for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+            for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+                const auto &r = result.cells[wi * cfgs.size() + ci];
+                SCOPED_TRACE(r.workload + " / " + r.configName);
+                const auto it =
+                    on_disk.find(oracle::fileOf(ws[wi].name, cfgs[ci]));
+                ASSERT_NE(it, on_disk.end());
+                // Stack cells carry only the counts a pass yields.
+                sim::RunStats want = stats[wi][ci];
+                if (r.engine == EngineTag::StackSinglePass) {
+                    sim::StackDistanceEngine eng(
+                        {harness::stackPointOf(cfgs[ci])});
+                    trace::MemoryTraceSource src(ws[wi].build());
+                    eng.run(src);
+                    want = harness::stackStatsFor(eng, cfgs[ci]);
+                    EXPECT_EQ(want.misses, stats[wi][ci].misses);
+                }
+                EXPECT_EQ(oracle::stripTiming(it->second),
+                          oracle::exactManifest(ws[wi].name, cfgs[ci],
+                                                want, r.engine, 2));
+            }
         }
     }
-
-    Runner fresh;
-    SweepRequest req;
-    req.workloads = ws;
-    req.configs = cfgs;
-    req.metric = metric;
-    req.telemetry.manifestDir = new_dir;
-    const SweepResult result = fresh.run(req);
-    EXPECT_EQ(result.manifestFailures, 0u);
-    EXPECT_EQ(result.manifestsWritten, ws.size() * cfgs.size());
-    expectManifestsEquivalent(legacy_dir, new_dir);
-
-    fs::remove_all(legacy_dir);
-    fs::remove_all(new_dir);
+    fs::remove_all(dir);
 }
 
-TEST(SweepRequestDifferential, SampledMatchesLegacyRunSampled)
+TEST(SweepRequestDifferential, SampledMatchesSampledEngineOracle)
 {
     namespace fs = std::filesystem;
-    const std::string legacy_dir =
-        testing::TempDir() + "/sweepreq_sampled_legacy";
-    const std::string new_dir =
+    const std::string dir =
         testing::TempDir() + "/sweepreq_sampled_new";
-    fs::remove_all(legacy_dir);
-    fs::remove_all(new_dir);
+    fs::remove_all(dir);
 
     const auto ws = twoWorkloads();
     const std::vector<core::Config> cfgs = {
         core::presets().get("standard"), core::presets().get("soft")};
     const auto metric = harness::missRatioMetric();
     const auto opt = testSampling();
-
-    Runner legacy;
-    const auto cells = legacy.runSampled(ws, cfgs, opt, 1);
-    const util::Table expected =
-        harness::sampledMatrix(ws, cfgs, cells, metric);
-    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
-        for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
-            ASSERT_FALSE(harness::writeSampledCellManifest(
-                             legacy_dir, ws[wi].name, cfgs[ci],
-                             cells[wi][ci].report, opt,
-                             cells[wi][ci].simSeconds)
-                             .empty());
-        }
-    }
+    const auto reports = oracle::sampledReports(ws, cfgs, opt, false);
 
     Runner fresh;
     SweepRequest req;
@@ -290,15 +235,26 @@ TEST(SweepRequestDifferential, SampledMatchesLegacyRunSampled)
     req.metric = metric;
     req.engine = EngineSelect::Sampled;
     req.sampling = opt;
-    req.telemetry.manifestDir = new_dir;
+    req.jobs = 2;
+    req.telemetry.manifestDir = dir;
     const SweepResult result = fresh.run(req);
-    EXPECT_EQ(result.table.toString(), expected.toString());
+    EXPECT_EQ(result.table.toString(),
+              oracle::sampledTable(ws, cfgs, reports, metric).toString());
     for (const auto &cell : result.cells)
         EXPECT_EQ(cell.engine, EngineTag::Sampled);
-    expectManifestsEquivalent(legacy_dir, new_dir);
-
-    fs::remove_all(legacy_dir);
-    fs::remove_all(new_dir);
+    const auto on_disk = oracle::readManifests(dir);
+    ASSERT_EQ(on_disk.size(), ws.size() * cfgs.size());
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+        for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+            const auto it =
+                on_disk.find(oracle::fileOf(ws[wi].name, cfgs[ci]));
+            ASSERT_NE(it, on_disk.end());
+            EXPECT_EQ(oracle::stripTiming(it->second),
+                      oracle::sampledManifest(ws[wi].name, cfgs[ci],
+                                              reports[wi][ci], opt));
+        }
+    }
+    fs::remove_all(dir);
 }
 
 TEST(SweepRequestRouting, AutoServesStackFamilyByOnePass)
@@ -435,13 +391,84 @@ TEST(SweepRequestTelemetry, SinkStreamsTheExactFileBytes)
     EXPECT_EQ(result.manifestFailures, 0u);
     ASSERT_FALSE(streamed.empty());
 
-    const auto on_disk = readManifests(dir);
+    const auto on_disk = oracle::readManifests(dir);
     ASSERT_EQ(on_disk.size(), streamed.size());
     for (const auto &entry : streamed) {
         SCOPED_TRACE(entry.first);
         const auto it = on_disk.find(entry.first);
         ASSERT_NE(it, on_disk.end());
         EXPECT_EQ(entry.second, it->second); // byte-identical
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SweepRequestTelemetry, CheckpointBlocksDescribeTheirOwnCell)
+{
+    // On one shared Runner (sacd's case) each manifest reports its
+    // own cell's library outcome and window parallelism, never a
+    // runner-wide running total.
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/sweepreq_own_blocks";
+    fs::remove_all(dir);
+
+    Runner r;
+    SweepRequest req;
+    req.workloads = {mvWorkload("MV-own-a", 40), mvWorkload("MV-own-b", 44)};
+    req.configs = {core::presets().get("standard")};
+    req.metric = harness::missRatioMetric();
+    req.engine = EngineSelect::SampledLivepoint;
+    req.sampling = testSampling();
+    req.checkpointDir = dir;
+
+    // Cold: a forced rebuild warms and writes every library with its
+    // windows replayed in parallel. It bypasses the shared cell
+    // store, so the warm request below really loads the libraries.
+    SweepRequest cold = req;
+    cold.checkpointRebuild = true;
+    cold.intraJobs = 3;
+    const auto first = oracle::runCaptured(r, cold);
+    // Warm: the same runner, serial window replay.
+    SweepRequest warm = req;
+    warm.intraJobs = 1;
+    const auto second = oracle::runCaptured(r, warm);
+    EXPECT_EQ(r.checkpointCounter("checkpoint.misses"), 2u);
+    EXPECT_EQ(r.checkpointCounter("checkpoint.hits"), 2u);
+
+    const auto block = [](const std::string &doc, const char *section,
+                          const char *name) {
+        const auto parsed = Json::parse(doc);
+        const Json *sec = parsed ? parsed->find(section) : nullptr;
+        const Json *b = sec ? sec->find(name) : nullptr;
+        return b ? std::optional<Json>(*b) : std::nullopt;
+    };
+    ASSERT_EQ(first.docs.size(), 2u);
+    ASSERT_EQ(second.docs.size(), 2u);
+    for (const auto &[file, doc] : first.docs) {
+        SCOPED_TRACE("cold " + file);
+        const auto ck = block(doc, "metrics", "checkpoint");
+        ASSERT_TRUE(ck.has_value());
+        EXPECT_EQ(ck->find("hits")->asUint(), 0u);
+        EXPECT_EQ(ck->find("misses")->asUint(), 1u);
+        EXPECT_EQ(ck->find("stale")->asUint(), 0u);
+        const auto par = block(doc, "timing", "parallel");
+        ASSERT_TRUE(par.has_value());
+        EXPECT_EQ(par->find("intra_jobs")->asUint(), 3u);
+        EXPECT_GT(par->find("windows")->asUint(), 0u);
+
+        const auto again = second.docs.find(file);
+        ASSERT_NE(again, second.docs.end());
+        SCOPED_TRACE("warm " + file);
+        const auto warm_ck = block(again->second, "metrics", "checkpoint");
+        ASSERT_TRUE(warm_ck.has_value());
+        EXPECT_EQ(warm_ck->find("hits")->asUint(), 1u);
+        EXPECT_EQ(warm_ck->find("misses")->asUint(), 0u);
+        EXPECT_EQ(warm_ck->find("stale")->asUint(), 0u);
+        // The bytes one cell wrote are the bytes it later reads.
+        EXPECT_EQ(warm_ck->find("bytes")->asUint(),
+                  ck->find("bytes")->asUint());
+        EXPECT_GT(warm_ck->find("bytes")->asUint(), 0u);
+        EXPECT_FALSE(block(again->second, "timing", "parallel"))
+            << "a serial replay carries no parallel block";
     }
     fs::remove_all(dir);
 }

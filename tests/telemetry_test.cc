@@ -8,14 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <sys/resource.h>
+#include <vector>
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
-#include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/event_trace.hh"
 #include "src/telemetry/manifest.hh"
@@ -612,6 +617,61 @@ TEST(Manifest, WritesOneFilePerCellUnderTheGivenDirectory)
     std::remove(path.c_str());
 }
 
+TEST(Manifest, FailedWriteKeepsThePreviousManifest)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "manifest_atomic";
+    std::filesystem::remove_all(dir);
+    telemetry::Manifest m;
+    m.workload = "MV";
+    m.configName = "Stand.";
+    m.cacheKey = "k-atomic";
+    const std::string path = telemetry::writeManifestFile(dir.string(), m);
+    ASSERT_FALSE(path.empty());
+    const std::string before = telemetry::manifestDocument(m);
+
+    // Simulate a full disk: cap the size of any file this process
+    // writes below the document's, so the rewrite fails mid-write
+    // (EFBIG instead of SIGXFSZ), then lift the cap again.
+    telemetry::Manifest changed = m;
+    changed.configName = "Stand. (rewritten)";
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = saved;
+    capped.rlim_cur = 16;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const std::string failed =
+        telemetry::writeManifestFile(dir.string(), changed);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_EQ(failed, "");
+
+    // A target that cannot be replaced fails at the rename instead.
+    telemetry::Manifest blocked = m;
+    blocked.cacheKey = "k-blocked";
+    const auto blocked_path =
+        dir / telemetry::manifestFileName(blocked.workload,
+                                          blocked.cacheKey);
+    std::filesystem::create_directories(blocked_path / "occupied");
+    EXPECT_EQ(telemetry::writeManifestFile(dir.string(), blocked), "");
+
+    std::ifstream in(path);
+    std::stringstream content;
+    content << in.rdbuf();
+    EXPECT_EQ(content.str(), before);
+    std::vector<std::string> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        left.push_back(entry.path().filename().string());
+    std::sort(left.begin(), left.end());
+    std::vector<std::string> expected{
+        std::filesystem::path(path).filename().string(),
+        blocked_path.filename().string()};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(left, expected) << "no temporary file may be left";
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Manifest, CellManifestRoundTripsCountersAndMetrics)
 {
     const auto t =
@@ -622,8 +682,14 @@ TEST(Manifest, CellManifestRoundTripsCountersAndMetrics)
         testing::TempDir() + "sac_cell_manifest_test";
     util::Json extra = util::Json::object();
     extra.set("sweep_jobs", std::uint64_t{4});
+    harness::ManifestCell cell;
+    cell.workload = "MV";
+    cell.config = &cfg;
+    cell.stats = &s;
+    cell.simSeconds = 0.125;
+    cell.extraTiming = &extra;
     const auto path = harness::writeCellManifest(
-        dir, "MV", cfg, s, 0.125, &extra);
+        dir, cell, harness::EngineTag::ExactReplay);
     ASSERT_FALSE(path.empty());
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -659,11 +725,15 @@ TEST(Runner, PhasesAccountForTraceGenAndSim)
     EXPECT_GT(cell.stats.accesses, 0u);
     EXPECT_GE(cell.simSeconds, 0.0);
     EXPECT_GT(r.phases().seconds("sim"), 0.0);
-    const auto table = r.runMatrix(ws, {core::presets().get("soft")},
-                                   harness::amatMetric(), 2);
-    EXPECT_EQ(table.rows(), 1u);
+    harness::SweepRequest req;
+    req.workloads = ws;
+    req.configs = {core::presets().get("soft")};
+    req.metric = harness::amatMetric();
+    req.jobs = 2;
+    const auto result = r.run(req);
+    EXPECT_EQ(result.table.rows(), 1u);
     EXPECT_GT(r.phases().seconds("report"), 0.0);
-    const auto sweep = r.lastSweep();
+    const auto &sweep = result.timing;
     EXPECT_EQ(sweep.jobs, 2u);
     EXPECT_GE(sweep.wallSeconds, 0.0);
     EXPECT_GE(sweep.utilization(), 0.0);
@@ -871,8 +941,12 @@ TEST(Runner, WorkerUtilizationAccountsBusyTimeAgainstTheWall)
     r.warmup(ws);
     const std::vector<core::Config> cfgs{core::presets().get("soft"),
                                          core::presets().get("standard")};
-    r.runMatrix(ws, cfgs, harness::amatMetric(), 2);
-    const auto sweep = r.lastSweep();
+    harness::SweepRequest req;
+    req.workloads = ws;
+    req.configs = cfgs;
+    req.metric = harness::amatMetric();
+    req.jobs = 2;
+    const auto sweep = r.run(req).timing;
     EXPECT_EQ(sweep.jobs, 2u);
     EXPECT_GT(sweep.wallSeconds, 0.0);
     // Four cells were simulated, so workers accumulated busy time,
@@ -886,8 +960,8 @@ TEST(Runner, WorkerUtilizationAccountsBusyTimeAgainstTheWall)
     // A serial sweep accounts the same way with one worker.
     harness::Runner serial;
     serial.warmup(ws);
-    serial.runMatrix(ws, cfgs, harness::amatMetric(), 1);
-    const auto s1 = serial.lastSweep();
+    req.jobs = 1;
+    const auto s1 = serial.run(req).timing;
     EXPECT_EQ(s1.jobs, 1u);
     EXPECT_GT(s1.busySeconds, 0.0);
     EXPECT_LE(s1.utilization(), 1.0 + 1e-9);

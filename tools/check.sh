@@ -37,7 +37,8 @@
 #                               # silently warm and rewrite
 #   tools/check.sh parallel     # intra-trace parallelism under TSan:
 #                               # the Parallel/Sharded/IntraJobs/
-#                               # SharedShadow differential tests (the
+#                               # SweepRequest/SharedShadow
+#                               # differential tests (the
 #                               # last racing shadow passes against
 #                               # the cells that read them), the nested-
 #                               # submission ThreadPool regressions,
@@ -299,11 +300,12 @@ for path in sorted(glob.glob(run_dir + "/*.json")):
     blocks.append(ck)
 if not blocks:
     sys.exit(f"{run_dir}: no sampled-livepoint manifests")
-# Every manifest of one run snapshots the same runner-wide counters.
-ck = blocks[0]
-hits, misses = ck.get("hits", 0), ck.get("misses", 0)
-stale = ck.get("stale", 0)
-if ck.get("bytes", 0) <= 0:
+# Each manifest carries its own cell's outcome; the run totals are
+# their sum.
+ck = {key: sum(b.get(key, 0) for b in blocks)
+      for key in ("hits", "misses", "stale", "bytes")}
+hits, misses, stale = ck["hits"], ck["misses"], ck["stale"]
+if any(b.get("bytes", 0) <= 0 for b in blocks):
     sys.exit(f"{run_dir}: checkpoint.bytes not accounted")
 if expect == "cold" and not (misses > 0 and hits == 0 and stale == 0):
     sys.exit(f"{run_dir}: cold run expected all misses, got {ck}")
@@ -341,11 +343,12 @@ EOF
         continue
     fi
     if [[ "$mode" == "parallel" ]]; then
-        # Parallel leg: prove the intra-trace parallel engines — the
-        # concurrent live-point window replay, the set-sharded stack
-        # pass and stack passes running side by side on the sweep
-        # pool — race-clean under TSan and bit-identical to their
-        # serial counterparts end to end. The CLI differential
+        # Parallel leg: prove the parallel sweep paths — the
+        # concurrent live-point window replay, the engine-level
+        # set-sharded stack pass, stack passes running side by side
+        # on the sweep pool and every SweepRequest path through
+        # Runner::run() — race-clean under TSan and bit-identical to
+        # their serial counterparts end to end. The CLI differential
         # runs the same warm livepoint sweep with --intra-jobs 1 and
         # 4; every manifest must match modulo the wall-clock "timing"
         # object and the parallel run must attach timing.parallel.
@@ -359,6 +362,7 @@ EOF
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_parallel_test \
             --target sac_test_shared_shadow_test \
+            --target sac_test_sweep_request_test \
             --target sac_test_thread_pool_test \
             --target sac_test_service_test \
             --target sacd --target sacctl \
@@ -366,7 +370,7 @@ EOF
         echo "=== [parallel] ctest (differentials, TSan) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
             -j "$(nproc)" \
-            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra|SharedShadow|ServiceServer.ConcurrentClientsShareOneStackPass'
+            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra|SharedShadow|SweepRequest|ServiceServer.ConcurrentClientsShareOneStackPass'
         par_dir="${build_dir}/parallel-run"
         rm -rf "${par_dir}"
         mkdir -p "${par_dir}"
