@@ -139,10 +139,8 @@ BM_SimulateSoftPrefetchGeneral(benchmark::State &state)
 BENCHMARK(BM_SimulateSoftPrefetchGeneral);
 
 /**
- * Same workload as BM_SimulateSoft but with a check::Auditor
- * attached. With SAC_AUDIT=OFF the hook is compiled out and this must
- * time identically to BM_SimulateSoft; with SAC_AUDIT=ON it measures
- * the full per-access invariant sweep.
+ * Same workload as BM_SimulateSoft but observed by a check::Auditor:
+ * the Observed access path plus the full per-access invariant sweep.
  */
 void
 BM_SimulateSoftAudited(benchmark::State &state)
@@ -152,24 +150,19 @@ BM_SimulateSoftAudited(benchmark::State &state)
     for (auto _ : state) {
         core::SoftwareAssistedCache sim(cfg);
         check::Auditor auditor(check::Auditor::OnViolation::Panic);
-        sim.attachAuditor(&auditor);
+        sim.observe({.auditor = &auditor});
         sim.run(t);
         benchmark::DoNotOptimize(sim.stats().totalAccessCycles);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
-    state.SetLabel(check::Auditor::hooksCompiledIn()
-                       ? "audit-on"
-                       : "audit-compiled-out");
 }
 BENCHMARK(BM_SimulateSoftAudited);
 
 /**
- * Same workload as BM_SimulateSoft but with an IntervalRecorder and a
- * SetProfiler attached. With SAC_INTERVAL=OFF both hooks are compiled
- * out and this must time identically to BM_SimulateSoft (the <=1%
- * floor in perf_compare.py); with SAC_INTERVAL=ON it measures the
- * per-access countdown plus the per-set counter updates.
+ * Same workload as BM_SimulateSoft but observed by an IntervalRecorder
+ * and a SetProfiler: the Observed access path plus the per-access
+ * countdown and the per-set counter updates.
  */
 void
 BM_SimulateSoftInterval(benchmark::State &state)
@@ -180,18 +173,13 @@ BM_SimulateSoftInterval(benchmark::State &state)
         core::SoftwareAssistedCache sim(cfg);
         telemetry::IntervalRecorder recorder(10000);
         telemetry::SetProfiler profiler(sim.mainArray().numSets());
-        sim.attachIntervalRecorder(&recorder);
-        sim.attachSetProfiler(&profiler);
+        sim.observe({.interval = &recorder, .setProfiler = &profiler});
         sim.run(t);
         benchmark::DoNotOptimize(sim.stats().totalAccessCycles);
         benchmark::DoNotOptimize(profiler.totalMisses());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
-    state.SetLabel(
-        core::SoftwareAssistedCache::intervalHooksCompiledIn()
-            ? "interval-on"
-            : "interval-compiled-out");
 }
 BENCHMARK(BM_SimulateSoftInterval);
 

@@ -85,13 +85,17 @@ reportFailure(const check::FuzzCase &c, const check::CaseOutcome &out,
     }
 }
 
-/** Run one generated case; returns true when it passed. */
+/**
+ * Run one generated case, adding its audited accesses to @p audited;
+ * returns true when it passed.
+ */
 bool
 runOne(const check::FuzzCase &c, std::set<std::string> &config_keys,
-       const std::string &out_dir)
+       std::uint64_t &audited, const std::string &out_dir)
 {
     config_keys.insert(c.config.cacheKey());
     const auto out = check::runCase(c);
+    audited += out.accessesAudited;
     if (out.ok())
         return true;
     reportFailure(c, out, out_dir);
@@ -173,10 +177,12 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(*master));
     std::set<std::string> config_keys;
     std::uint64_t ran = 0;
+    std::uint64_t audited = 0;
 
     if (*cases > 0) {
         for (std::int64_t i = 0; i < *cases; ++i, ++ran) {
-            if (!runOne(fuzzer.makeCase(i), config_keys, out_dir))
+            if (!runOne(fuzzer.makeCase(i), config_keys, audited,
+                        out_dir))
                 return 1;
         }
     } else {
@@ -186,7 +192,8 @@ main(int argc, char **argv)
         for (std::uint64_t i = 0;
              std::chrono::steady_clock::now() < deadline;
              ++i, ++ran) {
-            if (!runOne(fuzzer.makeCase(i), config_keys, out_dir))
+            if (!runOne(fuzzer.makeCase(i), config_keys, audited,
+                        out_dir))
                 return 1;
         }
     }
@@ -195,6 +202,7 @@ main(int argc, char **argv)
               << config_keys.size()
               << " distinct configurations, master seed 0x" << std::hex
               << fuzzer.masterSeed() << std::dec
-              << ", 0 divergences, 0 audit violations\n";
+              << ", 0 divergences, 0 audit violations, " << audited
+              << " accesses audited\n";
     return 0;
 }

@@ -204,7 +204,9 @@ Auditor::afterAccess(const core::SoftwareAssistedCache &cache,
 
     const sim::RunStats &stats = cache.stats();
     const Cycle cycle = cache.now();
-    if (stats.accesses != lastAccesses_ + 1) {
+    // The counter step is measured from the previous audited access;
+    // an auditor attached mid-run has none before its first.
+    if (audited_ > 1 && stats.accesses != lastAccesses_ + 1) {
         report("access_counter_skip", cycle, rec.addr,
                util::detail::format("access counter moved ",
                                     lastAccesses_, " -> ",

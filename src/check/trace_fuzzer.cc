@@ -215,7 +215,7 @@ runCase(const trace::Trace &t, const core::Config &cfg,
 
     core::SoftwareAssistedCache sim(cfg);
     Auditor auditor(Auditor::OnViolation::Record);
-    sim.attachAuditor(&auditor);
+    sim.observe({.auditor = &auditor});
     sim.run(t);
     out.got = sim::countsOf(sim.stats());
     if (corrupt)
@@ -244,6 +244,7 @@ runCase(const trace::Trace &t, const core::Config &cfg,
         out.divergence = sim::describeDivergence(out.expected, out.got);
     }
     out.auditViolations = auditor.violations().size();
+    out.accessesAudited = auditor.accessesAudited();
     if (!auditor.violations().empty()) {
         const Violation &v = auditor.violations().front();
         out.firstAuditViolation = v.kind + ": " + v.message;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/telemetry/event_trace.hh"
+#include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
 #include "src/trace/trace_source.hh"
 #include "src/util/logging.hh"
@@ -50,38 +52,6 @@ featureSetOf(const Config &cfg)
     return FeatureSet::General;
 }
 
-template <bool Detail>
-SoftwareAssistedCache::AccessFn
-SoftwareAssistedCache::selectAccessFnImpl(FeatureSet fs)
-{
-    //                             MayAux MayVirtual MayPrefetch MayBypass
-    switch (fs) {
-      case FeatureSet::Standard:
-        return &SoftwareAssistedCache::accessTmpl<Detail, false, false,
-                                                  false, false>;
-      case FeatureSet::Victim:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, false,
-                                                  false, false>;
-      case FeatureSet::Soft:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, true,
-                                                  false, false>;
-      case FeatureSet::SoftPrefetch:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, true,
-                                                  true, false>;
-      case FeatureSet::General:
-        break;
-    }
-    return &SoftwareAssistedCache::accessTmpl<Detail, true, true, true,
-                                              true>;
-}
-
-SoftwareAssistedCache::AccessFn
-SoftwareAssistedCache::selectAccessFn(FeatureSet fs, StatsMode mode)
-{
-    return mode == StatsMode::Detailed ? selectAccessFnImpl<true>(fs)
-                                       : selectAccessFnImpl<false>(fs);
-}
-
 SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
                                              DispatchMode dispatch)
     : cfg_(std::move(cfg)),
@@ -105,16 +75,34 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
     featureSet_ = dispatch == DispatchMode::General
                       ? FeatureSet::General
                       : featureSetOf(cfg_);
-    accessFn_ = selectAccessFn(featureSet_, statsMode_);
+}
+
+void
+SoftwareAssistedCache::observe(const Observers &obs)
+{
+    SAC_ASSERT(!obs.setProfiler ||
+                   obs.setProfiler->numSets() == main_.numSets(),
+               "set profiler sized for ",
+               obs.setProfiler ? obs.setProfiler->numSets() : 0,
+               " sets, main cache has ", main_.numSets());
+    obs_ = obs;
+    selectMode();
 }
 
 void
 SoftwareAssistedCache::setStatsMode(StatsMode m)
 {
-    if (m == statsMode_)
-        return;
     statsMode_ = m;
-    accessFn_ = selectAccessFn(featureSet_, statsMode_);
+    selectMode();
+}
+
+void
+SoftwareAssistedCache::selectMode()
+{
+    if (statsMode_ == StatsMode::Warming)
+        mode_ = Mode::Warming;
+    else
+        mode_ = obs_.any() ? Mode::Observed : Mode::Detailed;
 }
 
 void
@@ -134,67 +122,77 @@ SoftwareAssistedCache::run(trace::TraceSource &src)
     finish();
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch,
-          bool MayBypass>
+template <SoftwareAssistedCache::Mode M, bool MayAux, bool MayVirtual,
+          bool MayPrefetch, bool MayBypass>
 void
 SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
                                     std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        accessTmpl<Detail, MayAux, MayVirtual, MayPrefetch, MayBypass>(
-            recs[i]);
-#if SAC_AUDIT_ENABLED
-        if constexpr (Detail) {
-            if (auditor_)
-                auditor_->afterAccess(*this, recs[i]);
+        accessTmpl<M, MayAux, MayVirtual, MayPrefetch, MayBypass>(recs[i]);
+        if constexpr (M == Mode::Observed) {
+            if (obs_.auditor)
+                obs_.auditor->afterAccess(*this, recs[i]);
+            if (obs_.interval)
+                obs_.interval->afterAccess(stats_, writeBuffer_.occupancy());
         }
-#endif
-#if SAC_INTERVAL_ENABLED
-        if constexpr (Detail) {
-            if (interval_)
-                interval_->afterAccess(stats_,
-                                       writeBuffer_.occupancy());
-        }
-#endif
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::runBatchDispatch(const trace::Record *recs,
                                         std::size_t n)
 {
     switch (featureSet_) {
       case FeatureSet::Standard:
-        runBatchTmpl<Detail, false, false, false, false>(recs, n);
+        runBatchTmpl<M, false, false, false, false>(recs, n);
         return;
       case FeatureSet::Victim:
-        runBatchTmpl<Detail, true, false, false, false>(recs, n);
+        runBatchTmpl<M, true, false, false, false>(recs, n);
         return;
       case FeatureSet::Soft:
-        runBatchTmpl<Detail, true, true, false, false>(recs, n);
+        runBatchTmpl<M, true, true, false, false>(recs, n);
         return;
       case FeatureSet::SoftPrefetch:
-        runBatchTmpl<Detail, true, true, true, false>(recs, n);
+        runBatchTmpl<M, true, true, true, false>(recs, n);
         return;
       case FeatureSet::General:
         break;
     }
-    runBatchTmpl<Detail, true, true, true, true>(recs, n);
+    runBatchTmpl<M, true, true, true, true>(recs, n);
 }
 
 void
 SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 std::size_t n)
 {
-    if (statsMode_ == StatsMode::Detailed)
-        runBatchDispatch<true>(recs, n);
-    else
-        runBatchDispatch<false>(recs, n);
+    switch (mode_) {
+      case Mode::Warming:
+        runBatchDispatch<Mode::Warming>(recs, n);
+        return;
+      case Mode::Detailed:
+        runBatchDispatch<Mode::Detailed>(recs, n);
+        return;
+      case Mode::Observed:
+        runBatchDispatch<Mode::Observed>(recs, n);
+        return;
+    }
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch,
-          bool MayBypass>
+template <SoftwareAssistedCache::Mode M>
+void
+SoftwareAssistedCache::event(EventKind kind, Cycle cycle, Addr addr,
+                             std::uint32_t arg)
+{
+    if constexpr (M == Mode::Observed) {
+        if (obs_.tracer)
+            obs_.tracer->record(kind, cycle, addr, arg);
+    }
+}
+
+template <SoftwareAssistedCache::Mode M, bool MayAux, bool MayVirtual,
+          bool MayPrefetch, bool MayBypass>
 void
 SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
 {
@@ -203,25 +201,22 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     // instruction work after the previous access completed (the
     // completing cycle overlaps the first work cycle).
     now_ = procReadyAt_ + rec.delta - 1;
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.accesses;
         if (rec.isRead())
             ++stats_.reads;
         else
             ++stats_.writes;
-        SAC_TRACE_EVENT(tracer_, EventKind::Access, now_, rec.addr,
-                        rec.isWrite());
+        event<M>(EventKind::Access, now_, rec.addr, rec.isWrite());
     }
 
     Cycle start = std::max(now_, cacheFreeAt_);
     const Addr line = main_.lineAddrOf(rec.addr);
 
-#if SAC_INTERVAL_ENABLED
-    if constexpr (Detail) {
-        if (setProfiler_)
-            setProfiler_->onAccess(main_.setIndexOf(line));
+    if constexpr (M == Mode::Observed) {
+        if (obs_.setProfiler)
+            obs_.setProfiler->onAccess(main_.setIndexOf(line));
     }
-#endif
 
     // Land a pending prefetch that has arrived; if this very access
     // wants the in-flight line, stall until it lands. pending_.valid
@@ -229,25 +224,25 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     if constexpr (MayPrefetch) {
         if (pending_.valid) {
             if (pending_.readyAt <= start) {
-                installPendingPrefetch<Detail>();
+                installPendingPrefetch<M>();
             } else if (aux_ && pending_.line <= line &&
                        line < pending_.line + pending_.count) {
                 start = pending_.readyAt;
-                installPendingPrefetch<Detail>();
+                installPendingPrefetch<M>();
             }
         }
     }
 
     // 1. Main cache lookup.
     if (const auto way = main_.findWay(line)) {
-        handleMainHit<Detail>(rec, *way, start);
+        handleMainHit<M>(rec, *way, start);
         return;
     }
 
     // 2. Bypassing of non-temporal references (Fig 3a baselines).
     if constexpr (MayBypass) {
         if (cfg_.bypass != BypassMode::None && !rec.temporal) {
-            handleBypass<Detail>(rec, start);
+            handleBypass<M>(rec, start);
             return;
         }
     }
@@ -256,17 +251,17 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     if constexpr (MayAux) {
         if (aux_) {
             if (const auto way = aux_->findWay(line)) {
-                handleAuxHit<Detail, MayPrefetch>(rec, *way, start);
+                handleAuxHit<M, MayPrefetch>(rec, *way, start);
                 return;
             }
         }
     }
 
     // 4. Demand miss.
-    handleMiss<Detail, MayAux, MayVirtual, MayPrefetch>(rec, start);
+    handleMiss<M, MayAux, MayVirtual, MayPrefetch>(rec, start);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
                                      std::uint32_t way, Cycle start)
@@ -278,16 +273,16 @@ SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
         l.setDirty();
     applyTemporalTag(l, rec.temporal, cfg_.temporalBits);
     l.setPrefetched(false);
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.mainHits;
-        SAC_TRACE_EVENT(tracer_, EventKind::MainHit, start, rec.addr, 0);
-        classify(rec.addr, false);
+        event<M>(EventKind::MainHit, start, rec.addr, 0);
+        classify<M>(rec.addr, false);
     }
     const Cycle completion = start + cfg_.timing.mainHitTime;
-    complete<Detail>(completion, completion);
+    complete<M>(completion, completion);
 }
 
-template <bool Detail, bool MayPrefetch>
+template <SoftwareAssistedCache::Mode M, bool MayPrefetch>
 void
 SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
                                     std::uint32_t way, Cycle start)
@@ -300,17 +295,16 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
     // which requires cfg_.prefetch: compile the check out otherwise.
     const bool was_prefetched = MayPrefetch && a.prefetched();
 
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.auxHits;
         ++stats_.swaps;
-        SAC_TRACE_EVENT(tracer_, EventKind::AuxHit, start, rec.addr,
-                        was_prefetched);
-        SAC_TRACE_EVENT(tracer_, EventKind::Swap, start, rec.addr, 0);
+        event<M>(EventKind::AuxHit, start, rec.addr, was_prefetched);
+        event<M>(EventKind::Swap, start, rec.addr, 0);
         if (was_prefetched) {
             ++stats_.auxPrefetchHits;
             ++stats_.prefetchesUseful;
         }
-        classify(rec.addr, false);
+        classify<M>(rec.addr, false);
     }
 
     // Swap with the resident main-cache line: the aux line moves to
@@ -337,7 +331,7 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
         // possible with a set-associative aux cache): discard it.
         if (displaced.valid && displaced.dirty) {
             Cycle hidden = 0;
-            pushWriteback<Detail>(cfg_.lineBytes, hidden);
+            pushWriteback<M>(cfg_.lineBytes, hidden);
         }
         a.clear();
     }
@@ -349,13 +343,13 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
             // After the swap the main cache stays stalled one extra
             // cycle to check for the next prefetched line's presence.
             lock += cfg_.timing.prefetchHitExtraStall;
-            issuePrefetch<Detail>(line + 1);
+            issuePrefetch<M>(line + 1);
         }
     }
-    complete<Detail>(completion, lock);
+    complete<M>(completion, lock);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
 {
@@ -363,33 +357,32 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
     const bool buffer_hit =
         cfg_.bypass == BypassMode::NonTemporalBuffered && rec.isRead() &&
         bypassBufferValid_ && bypassBufferLine_ == line;
-    if constexpr (Detail) {
-        SAC_TRACE_EVENT(tracer_, EventKind::Bypass, start, rec.addr,
-                        buffer_hit);
-        classify(rec.addr, !buffer_hit);
+    if constexpr (detailed(M)) {
+        event<M>(EventKind::Bypass, start, rec.addr, buffer_hit);
+        classify<M>(rec.addr, !buffer_hit);
     }
 
     if (rec.isWrite()) {
         // Non-allocating write: write-through via the write buffer.
         Cycle transfer_cost = 0;
-        pushWriteback<Detail>(rec.size, transfer_cost);
-        if constexpr (Detail)
+        pushWriteback<M>(rec.size, transfer_cost);
+        if constexpr (detailed(M))
             ++stats_.bypasses;
         const Cycle completion =
             start + cfg_.timing.mainHitTime + transfer_cost;
-        complete<Detail>(completion, completion);
+        complete<M>(completion, completion);
         return;
     }
 
     if (buffer_hit) {
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             ++stats_.bypassBufferHits;
         const Cycle completion = start + cfg_.timing.mainHitTime;
-        complete<Detail>(completion, completion);
+        complete<M>(completion, completion);
         return;
     }
 
-    if constexpr (Detail)
+    if constexpr (detailed(M))
         ++stats_.bypasses;
     const Cycle request_sent = start + cfg_.timing.mainHitTime;
     const Cycle mem_start = std::max(request_sent, busFreeAt_);
@@ -399,29 +392,30 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
     const Cycle data_done = mem_start + cfg_.timing.memoryLatency +
                             cfg_.timing.transferCycles(bytes);
     busFreeAt_ = data_done;
-    if constexpr (Detail)
+    if constexpr (detailed(M))
         stats_.bytesFetched += bytes;
     if (cfg_.bypass == BypassMode::NonTemporalBuffered) {
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             ++stats_.linesFetched;
         bypassBufferLine_ = line;
         bypassBufferValid_ = true;
     }
-    complete<Detail>(data_done, data_done);
+    complete<M>(data_done, data_done);
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch>
+template <SoftwareAssistedCache::Mode M, bool MayAux, bool MayVirtual,
+          bool MayPrefetch>
 void
 SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
 {
     const Addr line = main_.lineAddrOf(rec.addr);
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.misses;
-        classify(rec.addr, true);
-#if SAC_INTERVAL_ENABLED
-        if (setProfiler_)
-            setProfiler_->onMiss(main_.setIndexOf(line));
-#endif
+        classify<M>(rec.addr, true);
+        if constexpr (M == Mode::Observed) {
+            if (obs_.setProfiler)
+                obs_.setProfiler->onMiss(main_.setIndexOf(line));
+        }
     }
 
     // Which physical lines must be fetched? For a spatially tagged
@@ -463,15 +457,14 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
         mem_start + cfg_.timing.missPenalty(n_fetched, cfg_.lineBytes);
     busFreeAt_ = data_done;
 
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         stats_.linesFetched += n_fetched;
         stats_.bytesFetched +=
             static_cast<std::uint64_t>(n_fetched) * cfg_.lineBytes;
         stats_.extraLinesFetched += n_fetched - 1;
         if (n_fetched > 1)
             ++stats_.virtualLineFills;
-        SAC_TRACE_EVENT(tracer_, EventKind::Miss, start, rec.addr,
-                        n_fetched);
+        event<M>(EventKind::Miss, start, rec.addr, n_fetched);
     }
 
     // Install the fetched lines; victim transfers and bounce-backs
@@ -489,7 +482,7 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             // cache, the fetch cannot be aborted; its main-cache
             // slot is simply not filled (tagged invalid).
             if (MayAux && l != line && aux_ && aux_->contains(l)) {
-                if constexpr (Detail)
+                if constexpr (detailed(M))
                     ++stats_.coherenceInvalidations;
                 continue;
             }
@@ -499,12 +492,12 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             if (l != line && main_.contains(l))
                 continue;
         }
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::Fill, start,
-                            l * cfg_.lineBytes, l == line);
+        if constexpr (detailed(M)) {
+            event<M>(EventKind::Fill, start, l * cfg_.lineBytes,
+                     l == line);
         }
         const FillTarget target =
-            insertIntoMain<Detail>(l, transfer_cost, fill_targets);
+            insertIntoMain<M>(l, transfer_cost, fill_targets);
         if (l == line) {
             cache::CacheArray::LineRef m =
                 main_.line(target.set, target.way);
@@ -519,8 +512,8 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
         transfer_cost > hidden_budget ? transfer_cost - hidden_budget : 0;
     const Cycle completion = data_done + extra;
 
-    drainWriteBuffer<Detail>();
-    complete<Detail>(completion, completion);
+    drainWriteBuffer<M>();
+    complete<M>(completion, completion);
 
     // Software-assisted progressive prefetching (Section 4.4): fetch
     // the physical line following the (virtual) block as well.
@@ -530,12 +523,12 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             Addr last = line;
             for (const Addr l : fetch_lines)
                 last = std::max(last, l);
-            issuePrefetch<Detail>(last + 1);
+            issuePrefetch<M>(last + 1);
         }
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 SoftwareAssistedCache::FillTarget
 SoftwareAssistedCache::insertIntoMain(
     Addr line_addr, Cycle &transfer_cost,
@@ -574,26 +567,25 @@ SoftwareAssistedCache::insertIntoMain(
     main_.touch(set, way);
 
     if (victim.valid) {
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::Evict, now_,
-                            victim.lineAddr * cfg_.lineBytes,
-                            victim.dirty);
-#if SAC_INTERVAL_ENABLED
-            if (setProfiler_)
-                setProfiler_->onEviction(set);
-#endif
+        if constexpr (detailed(M)) {
+            event<M>(EventKind::Evict, now_,
+                     victim.lineAddr * cfg_.lineBytes, victim.dirty);
+            if constexpr (M == Mode::Observed) {
+                if (obs_.setProfiler)
+                    obs_.setProfiler->onEviction(set);
+            }
         }
         if (aux_ && cfg_.auxReceivesVictims) {
-            victimToAux<Detail>(victim, transfer_cost, fill_targets);
+            victimToAux<M>(victim, transfer_cost, fill_targets);
         } else if (victim.dirty) {
-            pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+            pushWriteback<M>(cfg_.lineBytes, transfer_cost);
             transfer_cost += cfg_.timing.dirtyTransferCycles;
         }
     }
     return {set, way};
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::victimToAux(
     const cache::LineState &victim, Cycle &transfer_cost,
@@ -613,13 +605,13 @@ SoftwareAssistedCache::victimToAux(
         return;
 
     if (cfg_.bounceBack && aux_victim.temporal) {
-        bounceBack<Detail>(aux_victim, transfer_cost, fill_targets);
+        bounceBack<M>(aux_victim, transfer_cost, fill_targets);
     } else if (aux_victim.dirty) {
-        pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+        pushWriteback<M>(cfg_.lineBytes, transfer_cost);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::bounceBack(
     const cache::LineState &victim, Cycle &transfer_cost,
@@ -633,14 +625,13 @@ SoftwareAssistedCache::bounceBack(
     // overwritten anyway: cancel it so no ping-pong can occur.
     for (const auto &t : fill_targets) {
         if (t.set == set && t.way == way) {
-            if constexpr (Detail) {
+            if constexpr (detailed(M)) {
                 ++stats_.bouncesCancelled;
-                SAC_TRACE_EVENT(tracer_, EventKind::BounceCancelled,
-                                now_, victim.lineAddr * cfg_.lineBytes,
-                                0);
+                event<M>(EventKind::BounceCancelled, now_,
+                         victim.lineAddr * cfg_.lineBytes, 0);
             }
             if (victim.dirty)
-                pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+                pushWriteback<M>(cfg_.lineBytes, transfer_cost);
             return;
         }
     }
@@ -649,27 +640,25 @@ SoftwareAssistedCache::bounceBack(
     if (resident.valid() && resident.dirty() && writeBuffer_.full()) {
         // Bouncing onto a dirty line with a full write buffer is
         // aborted (Section 2.2); the victim still needs writing back.
-        if constexpr (Detail) {
+        if constexpr (detailed(M)) {
             ++stats_.bouncesAborted;
-            SAC_TRACE_EVENT(tracer_, EventKind::BounceAborted, now_,
-                            victim.lineAddr * cfg_.lineBytes, 0);
+            event<M>(EventKind::BounceAborted, now_,
+                     victim.lineAddr * cfg_.lineBytes, 0);
         }
         if (victim.dirty)
-            pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+            pushWriteback<M>(cfg_.lineBytes, transfer_cost);
         return;
     }
 
     if (resident.valid() && resident.dirty())
-        pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+        pushWriteback<M>(cfg_.lineBytes, transfer_cost);
 
-#if SAC_INTERVAL_ENABLED
-    if constexpr (Detail) {
+    if constexpr (M == Mode::Observed) {
         // The bounce displaces whatever the chosen way held: an
         // eviction from the profiler's point of view.
-        if (setProfiler_ && resident.valid())
-            setProfiler_->onEviction(set);
+        if (obs_.setProfiler && resident.valid())
+            obs_.setProfiler->onEviction(set);
     }
-#endif
     resident.assign(victim);
     // The "dynamic adjustment" of Section 2.2: the bit must be set
     // again by a tagged reference before the line may bounce again.
@@ -678,14 +667,14 @@ SoftwareAssistedCache::bounceBack(
     resident.setPrefetched(false);
     main_.touch(set, way);
     transfer_cost += cfg_.timing.dirtyTransferCycles;
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.bounces;
-        SAC_TRACE_EVENT(tracer_, EventKind::Bounce, now_,
-                        victim.lineAddr * cfg_.lineBytes, 0);
+        event<M>(EventKind::Bounce, now_,
+                 victim.lineAddr * cfg_.lineBytes, 0);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::pushWriteback(std::uint32_t bytes,
                                      Cycle &transfer_cost)
@@ -696,33 +685,33 @@ SoftwareAssistedCache::pushWriteback(std::uint32_t bytes,
         // warming differential compares); only the RunStats mirror is
         // fidelity-gated.
         writeBuffer_.noteFullStall();
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             ++stats_.writeBufferFullStalls;
         const std::uint32_t drained = writeBuffer_.pop();
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             stats_.bytesWrittenBack += drained;
         transfer_cost += cfg_.timing.transferCycles(drained);
         busFreeAt_ += cfg_.timing.transferCycles(drained);
     }
     writeBuffer_.push(bytes);
-    if constexpr (Detail) {
-        SAC_TRACE_EVENT(tracer_, EventKind::Writeback, now_, 0, bytes);
+    if constexpr (detailed(M)) {
+        event<M>(EventKind::Writeback, now_, 0, bytes);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::drainWriteBuffer()
 {
     while (writeBuffer_.occupancy() > 0) {
         const std::uint32_t bytes = writeBuffer_.pop();
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             stats_.bytesWrittenBack += bytes;
         busFreeAt_ += cfg_.timing.transferCycles(bytes);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::issuePrefetch(Addr pf_line)
 {
@@ -742,7 +731,7 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
         }
     }
     if (all_resident) {
-        if constexpr (Detail)
+        if constexpr (detailed(M))
             ++stats_.prefetchesAvoided;
         return;
     }
@@ -751,7 +740,7 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
         // Only one progressive prefetch is outstanding; land the old
         // one now if it has arrived, otherwise drop it.
         if (pending_.readyAt <= busFreeAt_)
-            installPendingPrefetch<Detail>();
+            installPendingPrefetch<M>();
         else
             pending_.valid = false;
     }
@@ -763,17 +752,17 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
             static_cast<std::uint64_t>(degree) * cfg_.lineBytes);
     pending_.valid = true;
     busFreeAt_ = pending_.readyAt;
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         ++stats_.prefetchesIssued;
-        SAC_TRACE_EVENT(tracer_, EventKind::Prefetch, now_,
-                        pf_line * cfg_.lineBytes, degree);
+        event<M>(EventKind::Prefetch, now_, pf_line * cfg_.lineBytes,
+                 degree);
         stats_.bytesFetched +=
             static_cast<std::uint64_t>(degree) * cfg_.lineBytes;
         stats_.linesFetched += degree;
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::installPendingPrefetch()
 {
@@ -801,17 +790,17 @@ SoftwareAssistedCache::installPendingPrefetch()
         SAC_ASSERT(slot.has_value(),
                    "freshly installed prefetch line vanished");
         slot->setPrefetched(true);
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::PrefetchInstall, now_,
-                            l * cfg_.lineBytes, 0);
+        if constexpr (detailed(M)) {
+            event<M>(EventKind::PrefetchInstall, now_,
+                     l * cfg_.lineBytes, 0);
         }
 
         if (aux_victim.valid) {
             Cycle hidden = 0; // off the critical path
             if (cfg_.bounceBack && aux_victim.temporal)
-                bounceBack<Detail>(aux_victim, hidden, {});
+                bounceBack<M>(aux_victim, hidden, {});
             else if (aux_victim.dirty)
-                pushWriteback<Detail>(cfg_.lineBytes, hidden);
+                pushWriteback<M>(cfg_.lineBytes, hidden);
         }
     }
 }
@@ -827,6 +816,7 @@ SoftwareAssistedCache::useShadowOutcomes(
     shadowEnd_ = codes.data() + codes.size();
 }
 
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::classify(Addr addr, bool was_miss)
 {
@@ -852,12 +842,12 @@ SoftwareAssistedCache::classify(Addr addr, bool was_miss)
         break;
       case sim::MissClass::Conflict:
         ++stats_.conflictMisses;
-#if SAC_INTERVAL_ENABLED
-        if (setProfiler_) {
-            setProfiler_->onConflict(
-                main_.setIndexOf(main_.lineAddrOf(addr)));
+        if constexpr (M == Mode::Observed) {
+            if (obs_.setProfiler) {
+                obs_.setProfiler->onConflict(
+                    main_.setIndexOf(main_.lineAddrOf(addr)));
+            }
         }
-#endif
         break;
     }
 }
@@ -873,13 +863,13 @@ SoftwareAssistedCache::applyTemporalTag(cache::CacheArray::LineRef line,
         line.setTemporal(true);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Mode M>
 void
 SoftwareAssistedCache::complete(Cycle completion, Cycle lock_until)
 {
     procReadyAt_ = completion;
     cacheFreeAt_ = std::max(cacheFreeAt_, lock_until);
-    if constexpr (Detail) {
+    if constexpr (detailed(M)) {
         stats_.totalAccessCycles +=
             static_cast<double>(completion - now_);
         stats_.completionCycle =
@@ -902,13 +892,11 @@ SoftwareAssistedCache::finish()
         return;
     SAC_ASSERT(shadowCursor_ == shadowEnd_,
                "shared shadow pass longer than the replay");
-    drainWriteBuffer<true>();
+    drainWriteBuffer<Mode::Detailed>();
     stats_.writeBufferFullStalls = writeBuffer_.fullStalls();
     finished_ = true;
-#if SAC_INTERVAL_ENABLED
-    if (interval_ && statsMode_ == StatsMode::Detailed)
-        interval_->finish(stats_, writeBuffer_.occupancy());
-#endif
+    if (obs_.interval && statsMode_ == StatsMode::Detailed)
+        obs_.interval->finish(stats_, writeBuffer_.occupancy());
 }
 
 sim::ArchState

@@ -23,6 +23,7 @@
 #ifndef SAC_CORE_SOFT_CACHE_HH
 #define SAC_CORE_SOFT_CACHE_HH
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -32,15 +33,7 @@
 #include "src/sim/miss_classifier.hh"
 #include "src/sim/run_stats.hh"
 #include "src/sim/write_buffer.hh"
-#include "src/telemetry/event_trace.hh"
-#include "src/telemetry/interval.hh"
 #include "src/trace/trace.hh"
-
-// CMake defines this via the SAC_AUDIT option; standalone compilations
-// get the audit hooks by default (mirrors SAC_TRACE_EVENTS_ENABLED).
-#ifndef SAC_AUDIT_ENABLED
-#define SAC_AUDIT_ENABLED 1
-#endif
 
 namespace sac {
 namespace trace {
@@ -48,6 +41,9 @@ class TraceSource;
 } // namespace trace
 
 namespace telemetry {
+class EventTracer;
+enum class EventKind : std::uint8_t;
+class IntervalRecorder;
 class SetProfiler;
 } // namespace telemetry
 
@@ -93,9 +89,9 @@ enum class DispatchMode
  * architectural state transition — cache arrays, LRU stamps, temporal
  * and prefetched bits, bounce-backs, write buffer, clocks — is
  * bit-identical to Detailed (proven by the warming-state differential
- * tests), but RunStats counters, the three-C miss classifier, event
- * tracing and audit hooks compile out of the access path, making
- * warming replay about twice as fast as full detail.
+ * tests), but RunStats counters, the three-C miss classifier and the
+ * observer hooks compile out of the access path, making warming
+ * replay about twice as fast as full detail.
  */
 enum class StatsMode
 {
@@ -104,20 +100,42 @@ enum class StatsMode
 };
 
 /**
- * Post-access audit hook. When the build has SAC_AUDIT=ON the
- * simulator calls an attached auditor after every completed access so
- * it can re-derive structural invariants from the exposed state.
- * Implemented by check::Auditor; the abstract interface lives here so
- * src/core never depends on src/check.
+ * Post-access audit hook: an observing auditor is called after every
+ * detailed access so it can re-derive structural invariants from the
+ * exposed state. Implemented by check::Auditor; the abstract interface
+ * lives here so src/core never depends on src/check.
  */
 class AccessAuditor
 {
   public:
     virtual ~AccessAuditor() = default;
 
-    /** Called after every access when audit hooks are compiled in. */
+    /** Called after every detailed access while observing. */
     virtual void afterAccess(const SoftwareAssistedCache &cache,
                              const trace::Record &rec) = 0;
+};
+
+/**
+ * The observers of one simulator (SoftwareAssistedCache::observe()).
+ * Any subset may be set; null members are not called. Observers see
+ * detailed-mode accesses only and never change the simulation.
+ */
+struct Observers
+{
+    /** Access/fill/swap/bounce/evict/prefetch events, cycle-stamped. */
+    telemetry::EventTracer *tracer = nullptr;
+    /** Structural invariant auditor, called after every access. */
+    AccessAuditor *auditor = nullptr;
+    /** Periodic RunStats snapshots; finish() flushes the tail. */
+    telemetry::IntervalRecorder *interval = nullptr;
+    /** Per-set heat, sized for the main cache's numSets(). */
+    telemetry::SetProfiler *setProfiler = nullptr;
+
+    /** Is any observer set? */
+    bool any() const
+    {
+        return tracer || auditor || interval || setProfiler;
+    }
 };
 
 /** Trace-driven simulator of one cache organization. */
@@ -136,19 +154,7 @@ class SoftwareAssistedCache
                                        DispatchMode::Auto);
 
     /** Simulate one reference. References must arrive in issue order. */
-    void access(const trace::Record &rec)
-    {
-        (this->*accessFn_)(rec);
-#if SAC_AUDIT_ENABLED
-        if (auditor_ && statsMode_ == StatsMode::Detailed)
-            auditor_->afterAccess(*this, rec);
-#endif
-#if SAC_INTERVAL_ENABLED
-        if (interval_ && statsMode_ == StatsMode::Detailed)
-            interval_->afterAccess(stats_,
-                                   writeBuffer_.occupancy());
-#endif
-    }
+    void access(const trace::Record &rec) { replay(&rec, 1); }
 
     /** Simulate a whole trace (appends to the current state). */
     void run(const trace::Trace &t);
@@ -164,6 +170,15 @@ class SoftwareAssistedCache
     {
         runBatch(recs, n);
     }
+
+    /**
+     * Replace the attached observers with @p obs (pass {} to detach
+     * them all). While any is set, detailed replay runs the Observed
+     * instantiation of the access path, which calls them; otherwise it
+     * runs one with no hook code at all. A set profiler must be sized
+     * for mainArray().numSets() (asserted).
+     */
+    void observe(const Observers &obs);
 
     /**
      * Switch statistics fidelity mid-run (reselects the access path).
@@ -205,55 +220,6 @@ class SoftwareAssistedCache
 
     /** The active configuration. */
     const Config &config() const { return cfg_; }
-
-    /**
-     * Attach an event tracer: access/fill/swap/bounce/evict/prefetch
-     * events are recorded into @p t with cycle stamps. Pass nullptr
-     * to detach. The recording sites only exist when the build has
-     * SAC_TRACE_EVENTS=ON; attaching is otherwise a no-op.
-     */
-    void attachTracer(telemetry::EventTracer *t) { tracer_ = t; }
-
-    /**
-     * Attach a structural invariant auditor, invoked after every
-     * access. Pass nullptr to detach. The call site only exists when
-     * the build has SAC_AUDIT=ON; attaching is otherwise a no-op.
-     */
-    void attachAuditor(AccessAuditor *a) { auditor_ = a; }
-
-    /** Were the SAC_AUDIT hooks compiled into this build? */
-    static constexpr bool auditHooksCompiledIn()
-    {
-        return SAC_AUDIT_ENABLED != 0;
-    }
-
-    /**
-     * Attach a periodic interval recorder: every detailed-mode access
-     * ticks it, and finish() flushes the trailing partial interval.
-     * Pass nullptr to detach. The call sites only exist when the
-     * build has SAC_INTERVAL=ON; attaching is otherwise a no-op.
-     */
-    void attachIntervalRecorder(telemetry::IntervalRecorder *r)
-    {
-        interval_ = r;
-    }
-
-    /**
-     * Attach a per-set heat profiler (sized for mainArray().numSets())
-     * recording access/miss/eviction/conflict per main-cache set in
-     * detailed mode. Pass nullptr to detach. Shares the SAC_INTERVAL
-     * compile-time gate with the interval recorder.
-     */
-    void attachSetProfiler(telemetry::SetProfiler *p)
-    {
-        setProfiler_ = p;
-    }
-
-    /** Were the SAC_INTERVAL hooks compiled into this build? */
-    static constexpr bool intervalHooksCompiledIn()
-    {
-        return SAC_INTERVAL_ENABLED != 0;
-    }
 
     // --- Introspection (used by tests and check::Auditor) --------
 
@@ -380,6 +346,21 @@ class SoftwareAssistedCache
     void useShadowOutcomes(const std::vector<sim::ShadowOutcome> &codes);
 
   private:
+    /**
+     * The instantiation of the access path in use. Warming and
+     * Detailed are the two StatsMode fidelities; Observed is Detailed
+     * plus the observer hooks, selected only while an observer is set.
+     */
+    enum class Mode : std::uint8_t
+    {
+        Warming,
+        Detailed,
+        Observed,
+    };
+
+    /** Does mode @p m count statistics? */
+    static constexpr bool detailed(Mode m) { return m != Mode::Warming; }
+
     /** A main-cache slot filled by the in-flight miss. */
     struct FillTarget
     {
@@ -395,58 +376,55 @@ class SoftwareAssistedCache
      * compiles the check out, which is only selected when the config
      * provably never takes that branch.
      *
-     * Detail selects the statistics fidelity: false is the functional-
-     * warming instantiation, which performs the same architectural
-     * state transitions but compiles out every stats counter, the miss
-     * classifier, and the event-trace sites.
+     * M selects the instantiation: Warming performs the same
+     * architectural state transitions as Detailed but compiles out
+     * every stats counter and the miss classifier; only Observed
+     * contains the observer hooks.
      */
-    template <bool Detail, bool MayAux, bool MayVirtual,
-              bool MayPrefetch, bool MayBypass>
+    template <Mode M, bool MayAux, bool MayVirtual, bool MayPrefetch,
+              bool MayBypass>
     void accessTmpl(const trace::Record &rec);
-
-    /** Pointer to the instantiation matching featureSet_. */
-    using AccessFn =
-        void (SoftwareAssistedCache::*)(const trace::Record &);
-
-    /** Instantiation lookup for (@p fs, @p mode) (static table). */
-    static AccessFn selectAccessFn(FeatureSet fs, StatsMode mode);
-
-    /** The accessTmpl instantiation for @p fs at fidelity @p Detail. */
-    template <bool Detail>
-    static AccessFn selectAccessFnImpl(FeatureSet fs);
 
     /**
      * Replay @p n records through the accessTmpl instantiation of the
-     * template arguments directly, so the per-record call is direct
-     * (inlinable) instead of through the accessFn_ member pointer.
+     * template arguments. In Observed mode this is the one place the
+     * post-access observers (auditor, interval recorder) are called.
      */
-    template <bool Detail, bool MayAux, bool MayVirtual,
-              bool MayPrefetch, bool MayBypass>
+    template <Mode M, bool MayAux, bool MayVirtual, bool MayPrefetch,
+              bool MayBypass>
     void runBatchTmpl(const trace::Record *recs, std::size_t n);
 
-    /** Dispatch once on the feature set at fidelity @p Detail. */
-    template <bool Detail>
+    /** Dispatch once on the feature set in mode @p M. */
+    template <Mode M>
     void runBatchDispatch(const trace::Record *recs, std::size_t n);
 
-    /** Dispatch once on mode and featureSet_, then replay @p n. */
+    /** Dispatch once on mode_ and featureSet_, then replay @p n. */
     void runBatch(const trace::Record *recs, std::size_t n);
 
+    /** Recompute mode_ from statsMode_ and the observers. */
+    void selectMode();
+
+    /** Record a tracer event (Observed mode only). */
+    template <Mode M>
+    void event(telemetry::EventKind kind, Cycle cycle, Addr addr,
+               std::uint32_t arg);
+
     /** Serve a hit in the main cache. */
-    template <bool Detail>
+    template <Mode M>
     void handleMainHit(const trace::Record &rec, std::uint32_t way,
                        Cycle start);
 
     /** Serve a hit in the aux (bounce-back / victim) cache. */
-    template <bool Detail, bool MayPrefetch>
+    template <Mode M, bool MayPrefetch>
     void handleAuxHit(const trace::Record &rec, std::uint32_t way,
                       Cycle start);
 
     /** Serve a bypassed non-temporal reference. */
-    template <bool Detail>
+    template <Mode M>
     void handleBypass(const trace::Record &rec, Cycle start);
 
     /** Serve a demand miss (possibly a virtual-line fill). */
-    template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch>
+    template <Mode M, bool MayAux, bool MayVirtual, bool MayPrefetch>
     void handleMiss(const trace::Record &rec, Cycle start);
 
     /**
@@ -455,7 +433,7 @@ class SoftwareAssistedCache
      * @param transfer_cost accumulates hidden transfer cycles
      * @param fill_targets slots already filled by this miss
      */
-    template <bool Detail>
+    template <Mode M>
     FillTarget insertIntoMain(Addr line_addr, Cycle &transfer_cost,
                               std::vector<FillTarget> &fill_targets);
 
@@ -464,32 +442,33 @@ class SoftwareAssistedCache
      * victim back to the main cache when the bounce-back mechanism is
      * active and its temporal bit is set.
      */
-    template <bool Detail>
+    template <Mode M>
     void victimToAux(const cache::LineState &victim, Cycle &transfer_cost,
                      const std::vector<FillTarget> &fill_targets);
 
     /** Bounce an aux victim back into the main cache (Section 2.2). */
-    template <bool Detail>
+    template <Mode M>
     void bounceBack(const cache::LineState &victim, Cycle &transfer_cost,
                     const std::vector<FillTarget> &fill_targets);
 
     /** Queue a line writeback, forcing a drain when the buffer is full. */
-    template <bool Detail>
+    template <Mode M>
     void pushWriteback(std::uint32_t bytes, Cycle &transfer_cost);
 
     /** Drain the whole write buffer over the bus (post-miss). */
-    template <bool Detail>
+    template <Mode M>
     void drainWriteBuffer();
 
     /** Issue a progressive next-line prefetch for @p pf_line. */
-    template <bool Detail>
+    template <Mode M>
     void issuePrefetch(Addr pf_line);
 
     /** Install the pending prefetched line into the aux cache. */
-    template <bool Detail>
+    template <Mode M>
     void installPendingPrefetch();
 
     /** Record a classified demand miss. */
+    template <Mode M>
     void classify(Addr addr, bool was_miss);
 
     /** Update the per-line temporal bit from the instruction tag. */
@@ -498,7 +477,7 @@ class SoftwareAssistedCache
                                  bool temporal_bits_enabled);
 
     /** Finish one access: accounting and cache-busy update. */
-    template <bool Detail>
+    template <Mode M>
     void complete(Cycle completion, Cycle lock_until);
 
     /** Replacement policy for main-cache fills. */
@@ -546,19 +525,11 @@ class SoftwareAssistedCache
     FeatureSet featureSet_ = FeatureSet::General;
     /** Statistics fidelity (switchable mid-run by the sampler). */
     StatsMode statsMode_ = StatsMode::Detailed;
-    AccessFn accessFn_ = nullptr;
+    /** Access-path instantiation: statsMode_ plus the observers. */
+    Mode mode_ = Mode::Detailed;
 
-    /** Event sink; null = tracing off (the common, fast case). */
-    telemetry::EventTracer *tracer_ = nullptr;
-
-    /** Invariant auditor; null = auditing off (the common case). */
-    AccessAuditor *auditor_ = nullptr;
-
-    /** Interval snapshotter; null = interval stats off (the common case). */
-    telemetry::IntervalRecorder *interval_ = nullptr;
-
-    /** Per-set heat profiler; null = heat profiling off. */
-    telemetry::SetProfiler *setProfiler_ = nullptr;
+    /** Attached observers; all null in the common, fast case. */
+    Observers obs_;
 };
 
 /** Simulate @p t under @p cfg and return the statistics. */

@@ -88,26 +88,15 @@ struct BenchOptions
     /**
      * --interval N: record an interval-stats snapshot every N trace
      * records and write a sibling `<manifest>.intervals.jsonl` next
-     * to each emitted cell manifest. 0 = off. Requires --emit-json;
-     * only effective in builds with SAC_INTERVAL=ON (otherwise the
-     * harness warns once and emits plain manifests).
+     * to each emitted cell manifest. 0 = off. Requires --emit-json.
      */
     std::uint64_t interval = 0;
 
     /**
      * --heatmap: embed the per-set heat profile ("profile" block) in
-     * each emitted cell manifest. Requires --emit-json; same
-     * SAC_INTERVAL build gate as --interval.
+     * each emitted cell manifest. Requires --emit-json.
      */
     bool heatmap = false;
-
-    /**
-     * --trace-ring N: default telemetry::EventTracer ring capacity in
-     * events (process-wide, forwarded to
-     * EventTracer::setDefaultCapacity()). 0 = keep the built-in
-     * default / SAC_TRACE_RING environment override.
-     */
-    std::size_t traceRing = 0;
 
     /**
      * The first constraint the parsed flag combination violates, or

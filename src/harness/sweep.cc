@@ -1,8 +1,6 @@
 #include "src/harness/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <iostream>
 
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/interval.hh"
@@ -191,29 +189,17 @@ renderCell(const ManifestCell &cell, EngineTag tag,
                         cell.instrument.heatmap);
     if (!wants)
         return m;
-    if (!core::SoftwareAssistedCache::intervalHooksCompiledIn()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "warning: --interval/--heatmap requested but "
-                         "this build has SAC_INTERVAL=OFF; emitting "
-                         "plain manifests (reconfigure with "
-                         "-DSAC_INTERVAL=ON)\n";
-        }
-        return m;
-    }
 
     // Instrumented re-replay. The hooks observe without perturbing,
     // so the result must reproduce the recorded run bit-for-bit.
     core::SoftwareAssistedCache sim(*cell.config);
     std::optional<telemetry::SetProfiler> profiler;
-    if (cell.instrument.intervalRecords > 0) {
-        recorder.emplace(cell.instrument.intervalRecords);
-        sim.attachIntervalRecorder(&*recorder);
-    }
-    if (cell.instrument.heatmap) {
-        profiler.emplace(sim.mainArray().numSets());
-        sim.attachSetProfiler(&*profiler);
-    }
+    core::Observers obs;
+    if (cell.instrument.intervalRecords > 0)
+        obs.interval = &recorder.emplace(cell.instrument.intervalRecords);
+    if (cell.instrument.heatmap)
+        obs.setProfiler = &profiler.emplace(sim.mainArray().numSets());
+    sim.observe(obs);
     sim.run(*cell.trace);
     SAC_ASSERT(sim.stats() == stats,
                "instrumented replay diverged from the recorded run");

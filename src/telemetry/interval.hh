@@ -4,9 +4,9 @@
  * full sim::RunStats delta every N records — miss ratio, per-class
  * misses, traffic, write-buffer occupancy, bounce-backs — and exports
  * the series as JSONL ("sac-intervals-v1") next to the run manifest.
- * The simulator hook is compile-time gated by SAC_INTERVAL (mirroring
- * SAC_AUDIT) and runs only in detailed StatsMode, so functional
- * warming and the compiled-out configuration pay nothing.
+ * The simulator calls it only in the Observed instantiation of its
+ * access path (detailed StatsMode with an observer set), so
+ * functional warming and unobserved runs pay nothing.
  *
  * Every uint64 counter is monotone non-decreasing within a run (the
  * completion cycle included), so plain unsigned subtraction telescopes
@@ -28,13 +28,6 @@
 
 #include "src/sim/run_stats.hh"
 #include "src/util/json.hh"
-
-// Fallback so includers that predate the build-system flag (or
-// standalone header parses) see the hooks as enabled, mirroring
-// SAC_AUDIT_ENABLED / SAC_TRACE_EVENTS_ENABLED.
-#ifndef SAC_INTERVAL_ENABLED
-#define SAC_INTERVAL_ENABLED 1
-#endif
 
 namespace sac {
 namespace telemetry {
@@ -68,9 +61,8 @@ struct IntervalSnapshot
  * Periodic RunStats snapshotter. The simulator calls afterAccess()
  * once per detailed-mode access (one decrement and one branch on the
  * hot path); every `interval_records`-th call captures a snapshot.
- * finish() flushes the trailing partial interval. Attach with
- * core::SoftwareAssistedCache::attachIntervalRecorder() — the hook
- * compiles out entirely when SAC_INTERVAL_ENABLED is 0.
+ * finish() flushes the trailing partial interval. Attach it as
+ * Observers::interval with core::SoftwareAssistedCache::observe().
  */
 class IntervalRecorder
 {

@@ -7,10 +7,11 @@
  * show *which* sets the assisted configurations decongest instead of
  * only how many conflict misses disappeared in aggregate.
  *
- * The simulator hooks (attachSetProfiler) share the SAC_INTERVAL
- * compile-time gate with the interval engine and only run in detailed
- * StatsMode. The profiler itself is simulator-agnostic: plain
- * per-set vectors any array-indexed structure can drive.
+ * The simulator drives it as Observers::setProfiler (see
+ * core::SoftwareAssistedCache::observe(), which checks that the set
+ * counts match), in detailed StatsMode only. The profiler itself is
+ * simulator-agnostic: plain per-set vectors any array-indexed
+ * structure can drive; the on*() hooks do not bounds-check @p set.
  */
 
 #ifndef SAC_TELEMETRY_SET_PROFILE_HH

@@ -191,14 +191,11 @@ TEST(Auditor, CleanSimulationAuditsSilently)
     const auto t = workloads::makeBenchmarkTrace("MV");
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
     Auditor auditor(Auditor::OnViolation::Record);
-    sim.attachAuditor(&auditor);
+    sim.observe({.auditor = &auditor});
     sim.run(t);
 
     EXPECT_EQ(auditor.violationCount(), 0u);
-    if (Auditor::hooksCompiledIn())
-        EXPECT_EQ(auditor.accessesAudited(), t.size());
-    else
-        EXPECT_EQ(auditor.accessesAudited(), 0u);
+    EXPECT_EQ(auditor.accessesAudited(), t.size());
 }
 
 // --- Shrinker ----------------------------------------------------

@@ -3,9 +3,9 @@
  * The fixed-seed differential fuzz budget run under CTest: 5000
  * adversarial (config, trace) cases generated from
  * check::TraceFuzzer::defaultMasterSeed, replayed through both
- * core::SoftwareAssistedCache (with the auditor attached when
- * SAC_AUDIT=ON) and the sim::ReferenceModel oracle. Sharded so the
- * sweep parallelizes under `ctest -j`. Any failure prints the case
+ * core::SoftwareAssistedCache (observed by the auditor, which must
+ * see every access) and the sim::ReferenceModel oracle. Sharded so
+ * the sweep parallelizes under `ctest -j`. Any failure prints the case
  * seed and the one-line fuzz_replay command.
  */
 
@@ -41,6 +41,8 @@ runShard(std::uint64_t shard)
                     : std::string())
             << "\nreplay with: build/examples/fuzz_replay --case 0x"
             << std::hex << c.seed << std::dec;
+        ASSERT_EQ(out.accessesAudited, c.trace.size())
+            << "the auditor did not observe every access of case " << i;
     }
 }
 

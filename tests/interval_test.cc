@@ -2,8 +2,8 @@
  * @file
  * Tests of the time-resolved telemetry layer: IntervalRecorder
  * snapshot mechanics and JSONL export, the SetProfiler heat counters,
- * and — in builds with SAC_INTERVAL=ON — the differential guarantees
- * that per-interval deltas sum bit-for-bit to the final RunStats,
+ * and the differential guarantees that per-interval deltas sum
+ * bit-for-bit to the final RunStats,
  * that attaching the instrumentation never perturbs the simulation,
  * and that an instrumented cell manifest (writeCellManifest with a
  * trace) carries the profile block plus the sibling interval series.
@@ -217,8 +217,6 @@ TEST(SetProfiler, CountsPerSetAndFindsTheHottest)
     EXPECT_EQ(SetProfiler(0).numSets(), 1u);
 }
 
-#if SAC_INTERVAL_ENABLED
-
 TEST(IntervalDifferential, DeltasSumExactlyToTheFinalRunStats)
 {
     const auto t =
@@ -226,8 +224,7 @@ TEST(IntervalDifferential, DeltasSumExactlyToTheFinalRunStats)
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
     IntervalRecorder rec(500);
     SetProfiler prof(sim.mainArray().numSets());
-    sim.attachIntervalRecorder(&rec);
-    sim.attachSetProfiler(&prof);
+    sim.observe({.interval = &rec, .setProfiler = &prof});
     sim.run(t);
 
     const sim::RunStats &s = sim.stats();
@@ -259,8 +256,7 @@ TEST(IntervalDifferential, AttachingInstrumentationDoesNotPerturb)
     core::SoftwareAssistedCache sim(cfg);
     IntervalRecorder rec(123);
     SetProfiler prof(sim.mainArray().numSets());
-    sim.attachIntervalRecorder(&rec);
-    sim.attachSetProfiler(&prof);
+    sim.observe({.interval = &rec, .setProfiler = &prof});
     sim.run(t);
     EXPECT_EQ(sim.stats(), plain);
 }
@@ -272,8 +268,7 @@ TEST(IntervalDifferential, WarmingModeRecordsNothing)
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
     IntervalRecorder rec(10);
     SetProfiler prof(sim.mainArray().numSets());
-    sim.attachIntervalRecorder(&rec);
-    sim.attachSetProfiler(&prof);
+    sim.observe({.interval = &rec, .setProfiler = &prof});
     sim.runWarming(t.data(), t.size());
     sim.finish();
     EXPECT_TRUE(rec.snapshots().empty());
@@ -287,7 +282,7 @@ TEST(SetProfilerDifferential, TotalsMatchTheRunStatsCounters)
         workloads::makeTaggedTrace(workloads::buildMv(48));
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
     SetProfiler prof(sim.mainArray().numSets());
-    sim.attachSetProfiler(&prof);
+    sim.observe({.setProfiler = &prof});
     sim.run(t);
 
     const sim::RunStats &s = sim.stats();
@@ -351,30 +346,5 @@ TEST(InstrumentedManifest, NoInstrumentationRequestedWritesPlain)
     EXPECT_FALSE(std::ifstream(jsonl).good());
     std::remove(path.c_str());
 }
-
-#else // !SAC_INTERVAL_ENABLED
-
-TEST(InstrumentedManifest, CompiledOutBuildFallsBackToPlainManifest)
-{
-    const auto t =
-        workloads::makeTaggedTrace(workloads::buildMv(32));
-    const auto cfg = core::presets().get("soft");
-    const auto stats = core::simulateTrace(t, cfg);
-    const std::string dir =
-        testing::TempDir() + "sac_fallback_manifest_test";
-
-    const harness::InstrumentOptions io{400, true};
-    const auto path = writeInstrumented(dir, cfg, t, stats, io);
-    ASSERT_FALSE(path.empty());
-    const auto doc = slurp(path);
-    EXPECT_EQ(doc.find("\"profile\""), std::string::npos);
-    std::string jsonl = path;
-    jsonl.replace(jsonl.rfind(".json"), 5, ".intervals.jsonl");
-    EXPECT_FALSE(std::ifstream(jsonl).good());
-    EXPECT_FALSE(core::SoftwareAssistedCache::intervalHooksCompiledIn());
-    std::remove(path.c_str());
-}
-
-#endif // SAC_INTERVAL_ENABLED
 
 } // namespace

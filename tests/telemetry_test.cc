@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -506,10 +505,9 @@ TEST(RunStatsRegistry, PrefixAndMergeSupportSweepAggregation)
     EXPECT_EQ(both.value("soft.access.total"), s2.accesses);
 }
 
-#if SAC_TRACE_EVENTS_ENABLED
 /**
- * With the hooks compiled in, an attached tracer observes exactly the
- * events RunStats counts (capacity chosen to hold the whole run).
+ * An observing tracer records exactly the events RunStats counts
+ * (capacity chosen to hold the whole run).
  */
 TEST(EventTracer, SimulatorEventsMatchRunStats)
 {
@@ -517,7 +515,7 @@ TEST(EventTracer, SimulatorEventsMatchRunStats)
         workloads::makeTaggedTrace(workloads::buildMv(60));
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
     EventTracer tr(1 << 22);
-    sim.attachTracer(&tr);
+    sim.observe({.tracer = &tr});
     sim.run(t);
     sim.finish();
     const auto &s = sim.stats();
@@ -548,11 +546,13 @@ TEST(EventTracer, DetachedTracerRecordsNothing)
     const auto t =
         workloads::makeTaggedTrace(workloads::buildMv(20));
     core::SoftwareAssistedCache sim(core::presets().get("soft"));
+    EventTracer tr;
+    sim.observe({.tracer = &tr});
+    sim.observe({});
     sim.run(t);
-    sim.finish();
     EXPECT_GT(sim.stats().accesses, 0u);
+    EXPECT_EQ(tr.recorded(), 0u);
 }
-#endif // SAC_TRACE_EVENTS_ENABLED
 
 TEST(Manifest, FileNameIsSanitizedAndStable)
 {
@@ -830,41 +830,12 @@ TEST(CounterRegistry, PrometheusExpositionFormat)
               std::string::npos);
 }
 
-TEST(EventTracer, RingCapacityIsRuntimeConfigurable)
-{
-    // Highest priority: an explicit constructor argument.
-    EXPECT_EQ(EventTracer(64).capacity(), 64u);
-
-    // Next: the process-wide override (what --trace-ring sets).
-    EventTracer::setDefaultCapacity(32);
-    EXPECT_EQ(EventTracer::defaultCapacity(), 32u);
-    EXPECT_EQ(EventTracer().capacity(), 32u);
-    EXPECT_EQ(EventTracer(8).capacity(), 8u); // explicit still wins
-
-    // Then the SAC_TRACE_RING environment variable.
-    EventTracer::setDefaultCapacity(0); // clear the override
-    ::setenv("SAC_TRACE_RING", "48", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), 48u);
-    EXPECT_EQ(EventTracer().capacity(), 48u);
-    EventTracer::setDefaultCapacity(24); // override beats the env
-    EXPECT_EQ(EventTracer::defaultCapacity(), 24u);
-    EventTracer::setDefaultCapacity(0);
-
-    // Garbage and zero env values fall back to the built-in default.
-    ::setenv("SAC_TRACE_RING", "not-a-number", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-    ::setenv("SAC_TRACE_RING", "0", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-    ::unsetenv("SAC_TRACE_RING");
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-}
-
 TEST(EventTracer, WrapsCorrectlyAtARuntimeConfiguredBoundary)
 {
     // Regression guard for the runtime-sized ring: an odd, small
     // capacity must still keep exactly the newest window in order.
-    EventTracer::setDefaultCapacity(5);
-    EventTracer tr;
+    EXPECT_EQ(EventTracer().capacity(), EventTracer::defaultCapacity);
+    EventTracer tr(5);
     ASSERT_EQ(tr.capacity(), 5u);
     for (std::uint32_t i = 0; i < 13; ++i)
         tr.record(EventKind::Access, i, i * 8, i);
@@ -877,12 +848,9 @@ TEST(EventTracer, WrapsCorrectlyAtARuntimeConfiguredBoundary)
         EXPECT_EQ(events[i].cycle, 8u + i);
         EXPECT_EQ(events[i].arg, 8u + i);
     }
-    EventTracer::setDefaultCapacity(0);
 
     // The minimum capacity clamp holds for runtime values too.
-    EventTracer::setDefaultCapacity(1);
-    EXPECT_GE(EventTracer().capacity(), 2u);
-    EventTracer::setDefaultCapacity(0);
+    EXPECT_GE(EventTracer(1).capacity(), 2u);
 }
 
 TEST(PhaseTimer, NestedScopedPhasesAccumulateIndependently)

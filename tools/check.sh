@@ -20,9 +20,9 @@
 #                               # and the shared three-C shadow pass
 #                               # (SharedShadow) against live
 #                               # classifiers
-#   tools/check.sh telemetry    # observability pipeline smoke: an
-#                               # SAC_INTERVAL=ON sweep with --interval
-#                               # and --heatmap, then sac_report.py
+#   tools/check.sh telemetry    # observability pipeline smoke: a plain
+#                               # sweep with --interval and
+#                               # --heatmap, then sac_report.py
 #                               # check/render/diff over the manifests
 #                               # (diff must catch an injected
 #                               # regression and survive a zero
@@ -63,8 +63,8 @@
 # (empty for plain) and runs ctest. The script stops at the first
 # failing mode.
 #
-# Fuzzing: every leg builds with -DSAC_AUDIT=ON so the structural
-# invariant auditor runs inside the differential fuzz sweep. The
+# Fuzzing: the structural invariant auditor observes every case of
+# the differential fuzz sweep in every build (no build option). The
 # address (ASan+UBSan) leg additionally replays the fixed-seed fuzz
 # budget through examples/fuzz_replay; --fuzz-seconds N appends a
 # randomized soak of N seconds to the plain leg.
@@ -113,13 +113,12 @@ fi
 
 for mode in "${modes[@]}"; do
     if [[ "$mode" == "perf" ]]; then
-        # Perf leg: audit hooks off (throughput build), then compare
-        # simulator throughput against the committed baseline and the
-        # within-run fast-vs-general ratios. Fails on >15% regression.
+        # Perf leg: compare simulator throughput against the committed
+        # baseline and the within-run fast-vs-general ratios. Fails on
+        # >15% regression.
         build_dir="build-check-perf"
         echo "=== [perf] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" --target bench_simspeed
         echo "=== [perf] bench_simspeed ==="
@@ -140,7 +139,6 @@ for mode in "${modes[@]}"; do
         build_dir="build-check-sampling"
         echo "=== [sampling] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_sampling_test
@@ -160,7 +158,6 @@ for mode in "${modes[@]}"; do
         build_dir="build-check-stack"
         echo "=== [stack] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="address" \
-            -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_stack_engine_test \
@@ -173,22 +170,22 @@ for mode in "${modes[@]}"; do
     fi
     if [[ "$mode" == "telemetry" ]]; then
         # Telemetry leg: drive the full observability pipeline end to
-        # end — build with the interval/heat-profile hooks compiled in,
-        # run the interval differential tests, sweep Figure 7 with
+        # end in a plain build — run the interval differential tests
+        # and the observer tests, sweep Figure 7 with
         # --interval/--heatmap, then validate + render the output with
         # sac_report.py and prove `diff` catches a planted regression.
         build_dir="build-check-telemetry"
         echo "=== [telemetry] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF -DSAC_INTERVAL=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target bench_fig07_traffic_missratio \
             --target sac_test_interval_test \
-            --target sac_test_telemetry_test
+            --target sac_test_telemetry_test \
+            --target sac_test_observer_test
         echo "=== [telemetry] ctest (interval differential) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
-            -j "$(nproc)" -R 'Interval|SetProfiler|Histogram|Prometheus|EventTrace'
+            -j "$(nproc)" -R 'Interval|SetProfiler|Histogram|Prometheus|EventTrace|Observers'
         echo "=== [telemetry] instrumented sweep ==="
         run_dir="${build_dir}/telemetry-run"
         rm -rf "${run_dir}"
@@ -264,7 +261,6 @@ EOF
         build_dir="build-check-checkpoint"
         echo "=== [checkpoint] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_checkpoint_test \
@@ -357,7 +353,6 @@ EOF
         build_dir="build-check-parallel"
         echo "=== [parallel] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="thread" \
-            -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_parallel_test \
@@ -478,7 +473,6 @@ EOF
         build_dir="build-check-service"
         echo "=== [service] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sacd --target sacctl \
@@ -577,10 +571,7 @@ EOF
     esac
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="
-    # SAC_AUDIT is passed explicitly: stale build-check-* caches would
-    # otherwise keep whatever default they were first configured with.
     cmake -B "${build_dir}" -S . -DSAC_SANITIZE="${sanitize}" \
-        -DSAC_AUDIT=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
     cmake --build "${build_dir}" -j "$(nproc)"
     echo "=== [${mode}] ctest ==="

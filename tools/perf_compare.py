@@ -70,11 +70,6 @@ RATIO_FLOORS = [
     ("BM_SimulateSoftPrefetch", "BM_SimulateSoftPrefetchGeneral", 0.85,
      False),
     ("BM_SimulateSoftWarming", "BM_SimulateSoft", 2.0, False),
-    # The perf leg builds with SAC_INTERVAL=OFF, so the interval/
-    # heatmap hook sites must compile out entirely: attaching the
-    # recorder may cost at most 1% against the unhooked run (the
-    # acceptance gate of the time-resolved telemetry layer).
-    ("BM_SimulateSoftInterval", "BM_SimulateSoft", 0.99, False),
     ("BM_SweepSampled", "BM_SweepFullDetail", 5.0, False),
     # The live-point floor: a sampled re-sweep served from a warm
     # checkpoint library restores each window's architectural state
