@@ -97,21 +97,29 @@ main(int argc, char **argv)
     std::cout << "\nPrefetch degree x memory latency (AMAT on MV, "
                  "Soft.+Prefetching)\n\n";
     {
-        util::Table table({"Latency", "degree 1", "degree 2",
-                           "degree 4"});
+        std::vector<core::Config> configs; // three degrees per latency
         for (const Cycle lat : {15u, 20u, 25u, 30u, 40u}) {
-            const auto row = table.addRow();
-            table.set(row, 0, std::to_string(lat));
-            std::size_t col = 1;
             for (const std::uint32_t degree : {1u, 2u, 4u}) {
                 auto c = core::presets().get("soft-prefetch");
                 c.timing.memoryLatency = lat;
                 c.prefetchDegree = degree;
                 c.name = "pf d" + std::to_string(degree) + " l" +
                          std::to_string(lat);
-                table.setNumber(row, col++,
-                                bench::cachedRun("MV", c).amat());
+                configs.push_back(std::move(c));
             }
+        }
+        auto mv = bench::suiteWorkloads();
+        std::erase_if(mv, [](const auto &w) { return w.name != "MV"; });
+        const auto cells = bench::exactCells(mv, configs);
+        util::Table table({"Latency", "degree 1", "degree 2",
+                           "degree 4"});
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            if (c % 3 == 0) {
+                table.set(table.addRow(), 0,
+                          std::to_string(configs[c].timing.memoryLatency));
+            }
+            table.setNumber(table.rows() - 1, c % 3 + 1,
+                            cells[0][c].amat());
         }
         table.print(std::cout);
     }
@@ -157,26 +165,24 @@ main(int argc, char **argv)
             {"1 ref / 8 cycles (slow)",
              util::DiscreteDistribution({{8, 1.0}})},
         };
+        std::vector<harness::Workload> mv;
+        for (const auto &rate : rates) {
+            mv.push_back({std::string("MV-issue-rate-") + rate.label,
+                          [dist = rate.dist] {
+                              return workloads::makeTaggedTraceWithTiming(
+                                  workloads::buildMv(), dist);
+                          }});
+        }
+        const auto cells = bench::derivedCells(
+            mv, bench::presetConfigs(
+                    {"standard", "soft", "soft-prefetch"}));
         util::Table table({"Issue rate", "Stand.", "Soft.",
                            "Soft.+Prefetching"});
-        for (const auto &rate : rates) {
-            const auto t = workloads::makeTaggedTraceWithTiming(
-                workloads::buildMv(), rate.dist);
+        for (std::size_t w = 0; w < std::size(rates); ++w) {
             const auto row = table.addRow();
-            table.set(row, 0, rate.label);
-            const std::string cell = std::string("MV-issue-rate-") +
-                                     rate.label;
-            table.setNumber(
-                row, 1,
-                bench::runCell(t, core::presets().get("standard"), cell)
-                    .amat());
-            table.setNumber(
-                row, 2,
-                bench::runCell(t, core::presets().get("soft"), cell).amat());
-            table.setNumber(
-                row, 3,
-                bench::runCell(t, core::presets().get("soft-prefetch"), cell)
-                    .amat());
+            table.set(row, 0, rates[w].label);
+            for (std::size_t c = 0; c < 3; ++c)
+                table.setNumber(row, c + 1, cells[w][c].amat());
         }
         table.print(std::cout);
     }

@@ -1,6 +1,6 @@
 #include "bench_common.hh"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <set>
@@ -8,6 +8,7 @@
 
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
+#include "src/util/logging.hh"
 #include "src/util/thread_pool.hh"
 
 namespace sac {
@@ -42,17 +43,47 @@ runner()
     return instance;
 }
 
-harness::Workload
-workloadOf(const std::string &name)
+/** An exact-replay request of the bench command line. */
+harness::SweepRequest
+exactRequest(std::vector<harness::Workload> workloads,
+             std::vector<core::Config> configs)
 {
-    const std::uint64_t seed = options().traceSeed;
-    return {name,
-            [name, seed] {
-                return workloads::makeBenchmarkTrace(name, seed);
-            },
-            [name, seed](const trace::RecordSink &sink) {
-                workloads::streamBenchmarkTrace(name, sink, seed);
-            }};
+    harness::SweepRequest request;
+    request.workloads = std::move(workloads);
+    request.configs = std::move(configs);
+    request.metric = harness::amatMetric();
+    request.jobs = options().jobs;
+    request.engine = harness::EngineSelect::Exact;
+    request.telemetry.manifestDir = options().emitJsonDir;
+    request.telemetry.intervalRecords = options().interval;
+    request.telemetry.heatmap = options().heatmap;
+    request.telemetry.dedup = &emittedCells();
+    return request;
+}
+
+/** Run @p request on @p r; exit when a manifest cannot be written. */
+harness::SweepResult
+runOrExit(harness::Runner &r, const harness::SweepRequest &request)
+{
+    harness::SweepResult result = r.run(request);
+    if (result.manifestFailures > 0) {
+        std::cerr << "failed to write run manifest under '"
+                  << options().emitJsonDir << "'\n";
+        std::exit(1);
+    }
+    return result;
+}
+
+/** Append one row per workload of @p result's cell stats to @p out. */
+void
+appendRows(const harness::SweepResult &result, std::size_t configs,
+           CellStats &out)
+{
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        if (i % configs == 0)
+            out.emplace_back();
+        out.back().push_back(result.cells[i].stats);
+    }
 }
 
 } // namespace
@@ -69,106 +100,10 @@ options()
     return optionsSetting();
 }
 
-unsigned
-jobs()
-{
-    return options().jobs;
-}
-
-const std::string &
-emitJsonDir()
-{
-    return options().emitJsonDir;
-}
-
-namespace {
-
-bool
-isRegisteredBenchmark(const std::string &name)
-{
-    for (const auto &b : workloads::paperBenchmarks()) {
-        if (b.name == name)
-            return true;
-    }
-    return false;
-}
-
-void
-writeCell(const std::string &workload, const core::Config &cfg,
-          const trace::Trace *t, const sim::RunStats &stats,
-          double sim_seconds)
-{
-    const std::string &dir = emitJsonDir();
-    if (dir.empty())
-        return;
-    if (!emittedCells().emplace(workload, cfg.cacheKey()).second)
-        return;
-    const harness::BenchOptions &o = options();
-    const bool instrument = o.interval > 0 || o.heatmap;
-    // Suite sweeps emit by workload name only; registered benchmarks
-    // resolve through the trace cache so they get instrumented too.
-    if (instrument && t == nullptr && isRegisteredBenchmark(workload))
-        t = &benchmarkTrace(workload);
-    harness::ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.simSeconds = sim_seconds;
-    if (instrument && t != nullptr) {
-        cell.trace = t;
-        cell.instrument = {o.interval, o.heatmap};
-    }
-    const std::string path = harness::writeCellManifest(
-        dir, cell, harness::EngineTag::ExactReplay);
-    if (path.empty()) {
-        std::cerr << "failed to write run manifest under '" << dir
-                  << "'\n";
-        std::exit(1);
-    }
-}
-
-} // namespace
-
-void
-emitCellManifest(const std::string &workload, const core::Config &cfg,
-                 const sim::RunStats &stats, double sim_seconds)
-{
-    writeCell(workload, cfg, nullptr, stats, sim_seconds);
-}
-
-void
-emitCellManifest(const std::string &workload, const core::Config &cfg,
-                 const trace::Trace &t, const sim::RunStats &stats,
-                 double sim_seconds)
-{
-    writeCell(workload, cfg, &t, stats, sim_seconds);
-}
-
-sim::RunStats
-runCell(const trace::Trace &t, const core::Config &cfg,
-        const std::string &workload)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    const sim::RunStats stats = core::simulateTrace(t, cfg);
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::string &name = workload.empty() ? t.name() : workload;
-    emitCellManifest(name, cfg, t, stats, seconds);
-    return stats;
-}
-
 double
 amatOf(const sim::RunStats &s)
 {
     return s.amat();
-}
-
-double
-missRatioOf(const sim::RunStats &s)
-{
-    return s.missRatio();
 }
 
 double
@@ -180,15 +115,56 @@ wordsOf(const sim::RunStats &s)
 const trace::Trace &
 benchmarkTrace(const std::string &name)
 {
-    return runner().traceOf(workloadOf(name));
+    const auto suite = suiteWorkloads();
+    const auto w = std::find_if(
+        suite.begin(), suite.end(),
+        [&name](const harness::Workload &s) { return s.name == name; });
+    SAC_ASSERT(w != suite.end(), "unknown paper benchmark '", name, "'");
+    return runner().traceOf(*w);
 }
 
-const sim::RunStats &
-cachedRun(const std::string &bench_name, const core::Config &cfg)
+std::vector<harness::Workload>
+suiteWorkloads()
 {
-    const auto &cell = runner().cell(workloadOf(bench_name), cfg);
-    emitCellManifest(bench_name, cfg, cell.stats, cell.simSeconds);
-    return cell.stats;
+    return harness::paperWorkloads(options().traceSeed);
+}
+
+CellStats
+exactCells(const std::vector<harness::Workload> &workloads,
+           const std::vector<core::Config> &configs)
+{
+    CellStats out;
+    appendRows(runOrExit(runner(), exactRequest(workloads, configs)),
+               configs.size(), out);
+    return out;
+}
+
+CellStats
+derivedCells(const std::vector<harness::Workload> &workloads,
+             const std::vector<core::Config> &configs)
+{
+    CellStats out;
+    const std::size_t batch = std::max(1u, options().jobs);
+    for (std::size_t first = 0; first < workloads.size();
+         first += batch) {
+        const std::size_t last = std::min(workloads.size(), first + batch);
+        harness::Runner batch_runner;
+        appendRows(runOrExit(batch_runner,
+                             exactRequest({workloads.begin() + first,
+                                           workloads.begin() + last},
+                                          configs)),
+                   configs.size(), out);
+    }
+    return out;
+}
+
+harness::Workload
+variantOf(const std::string &name, const std::string &variant,
+          TraceTransform transform)
+{
+    return {name + "-" + variant, [name, transform] {
+                return transform(benchmarkTrace(name));
+            }};
 }
 
 std::vector<core::Config>
@@ -216,19 +192,13 @@ suiteTable(const std::vector<core::Config> &configs,
     // Thin adapter: one SweepRequest expresses the whole bench
     // command line; Runner::run() routes, sweeps, and emits the
     // manifests (engine tags, suite totals, instrumentation).
-    const auto workloads = harness::paperWorkloads();
+    const auto workloads = suiteWorkloads();
     runner().warmup(workloads);
 
     harness::SweepRequest request = harness::SweepRequest::
         fromBenchOptions(options(), workloads, configs, m);
     request.telemetry.dedup = &emittedCells();
-    const harness::SweepResult result = runner().run(request);
-    if (result.manifestFailures > 0) {
-        std::cerr << "failed to write run manifest under '"
-                  << emitJsonDir() << "'\n";
-        std::exit(1);
-    }
-    return result.table;
+    return runOrExit(runner(), request).table;
 }
 
 void

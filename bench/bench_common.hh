@@ -1,9 +1,12 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction binaries: trace
- * caching (each benchmark is generated once per process), config x
- * benchmark result matrices, and uniform headers so EXPERIMENTS.md
- * can quote the output verbatim.
+ * Shared infrastructure for the figure-reproduction binaries. Every
+ * simulated cell a bench prints comes from harness::Runner::run: the
+ * suite tables (suiteTable()) and the exact cells a bench derives its
+ * own columns from (exactCells(), derivedCells()). One process runner
+ * caches the suite traces, so each benchmark is generated once per
+ * process. Uniform headers let EXPERIMENTS.md quote the output
+ * verbatim.
  */
 
 #ifndef SAC_BENCH_BENCH_COMMON_HH
@@ -29,12 +32,11 @@ using Metric = std::function<double(const sim::RunStats &)>;
 /**
  * Parse the shared bench command line; call first in every main().
  * Recognized flags (see harness::BenchOptions): `--jobs N` (worker
- * threads for matrix sweeps; default: all hardware threads, `--jobs
+ * threads of every sweep; default: all hardware threads, `--jobs
  * 1` forces the serial path), `--emit-json DIR` (write one telemetry
  * run manifest per sweep cell under DIR; see DESIGN.md §6),
  * `--preset NAME` (a core::presets() configuration), `--trace-seed
- * N` (timing seed of the generated traces), `--trace-chunk N`
- * (records per chunk in streamed replay), `--sample` with its
+ * N` (timing seed of the generated traces), `--sample` with its
  * tuning flags `--sample-window/-stride/-warmup/-ci/-error` (estimate
  * suite tables with the windowed sampling engine; cells then read
  * "estimate ±half" — see DESIGN.md §10), `--interval N` and
@@ -48,64 +50,53 @@ void initBench(int argc, const char *const *argv);
 /** All shared options configured by initBench() (or defaults). */
 const harness::BenchOptions &options();
 
-/** Worker-thread count configured by initBench() (or the default). */
-unsigned jobs();
-
-/** Manifest output directory of --emit-json; empty = no emission. */
-const std::string &emitJsonDir();
-
-/**
- * Write the run manifest of one sweep cell under emitJsonDir() (a
- * no-op without --emit-json; cells are deduplicated on (workload,
- * cacheKey) so repeated cached runs emit once).
- */
-void emitCellManifest(const std::string &workload,
-                      const core::Config &cfg,
-                      const sim::RunStats &stats,
-                      double sim_seconds = 0.0);
-
-/**
- * Trace-aware overload: under --interval/--heatmap the cell is
- * re-replayed with the time-resolved instrumentation attached, so the
- * manifest gains its "profile" block and/or the sibling
- * `<stem>.intervals.jsonl` series (harness::writeCellManifest with
- * ManifestCell::trace set). Without those flags, identical to
- * the plain overload. The no-trace overload resolves registered
- * benchmark workloads through the trace cache, so suite sweeps are
- * instrumented too.
- */
-void emitCellManifest(const std::string &workload,
-                      const core::Config &cfg, const trace::Trace &t,
-                      const sim::RunStats &stats,
-                      double sim_seconds = 0.0);
-
-/**
- * Simulate @p t under @p cfg and emit the cell's manifest when
- * --emit-json is active: the hook for benches that build ad-hoc
- * traces instead of going through the registered suite. @p workload
- * names the manifest (falls back to the trace name).
- */
-sim::RunStats runCell(const trace::Trace &t, const core::Config &cfg,
-                      const std::string &workload = "");
-
 /** The AMAT metric (the paper's main y-axis). */
 double amatOf(const sim::RunStats &s);
-
-/** The miss-ratio metric (Figure 7b). */
-double missRatioOf(const sim::RunStats &s);
 
 /** The memory-traffic metric in words per reference (Figure 7a). */
 double wordsOf(const sim::RunStats &s);
 
 /**
- * The trace of a registered paper benchmark, generated once per
- * process and cached.
+ * The trace of a registered paper benchmark (seeded by --trace-seed),
+ * generated once per process and cached. Thread-safe.
  */
 const trace::Trace &benchmarkTrace(const std::string &name);
 
-/** Cached simulation: one run per (benchmark, config-name) pair. */
-const sim::RunStats &cachedRun(const std::string &bench_name,
-                               const core::Config &cfg);
+/** The paper suite as harness workloads, seeded by --trace-seed. */
+std::vector<harness::Workload> suiteWorkloads();
+
+/** Per-cell statistics of one sweep, indexed [workload][config]. */
+using CellStats = std::vector<std::vector<sim::RunStats>>;
+
+/**
+ * Exact-replay cells of @p workloads x @p configs for a bench's own
+ * columns: one harness::Runner::run on the process runner, which
+ * caches the traces. Manifests as for suiteTable(), without suite
+ * totals; --sample does not apply.
+ */
+CellStats exactCells(const std::vector<harness::Workload> &workloads,
+                     const std::vector<core::Config> &configs);
+
+/**
+ * exactCells() for workloads derived per bench (variants of the
+ * suite traces, parameter sweeps). Their traces are generated on the
+ * sweep pool in batches of --jobs workloads, each batch on its own
+ * Runner released when it returns, so at most --jobs derived traces
+ * are alive at once.
+ */
+CellStats derivedCells(const std::vector<harness::Workload> &workloads,
+                       const std::vector<core::Config> &configs);
+
+/** A trace-to-trace transformation (tag stripping, retagging, ...). */
+using TraceTransform = std::function<trace::Trace(const trace::Trace &)>;
+
+/**
+ * The derived workload "<name>-<variant>": @p transform applied to
+ * benchmarkTrace(@p name).
+ */
+harness::Workload variantOf(const std::string &name,
+                            const std::string &variant,
+                            TraceTransform transform);
 
 /**
  * Resolve registry preset keys into configurations, in order — the

@@ -29,11 +29,13 @@ main(int argc, char **argv)
 
     std::cout << "\nFigure 6b: repartition of cache hits (Soft.)\n\n";
     util::Table table({"Benchmark", "Main cache", "Bounce-back"});
-    const auto soft = core::presets().get("soft");
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &s = bench::cachedRun(b.name, soft);
+    const auto suite = bench::suiteWorkloads();
+    const auto soft =
+        bench::exactCells(suite, bench::presetConfigs({"soft"}));
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        const auto &s = soft[w][0];
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, suite[w].name);
         table.setNumber(row, 1, s.mainHitShare(), 3);
         table.setNumber(row, 2, s.auxHitShare(), 3);
     }

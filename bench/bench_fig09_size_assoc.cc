@@ -35,21 +35,26 @@ main(int argc, char **argv)
     std::cout << "\nFigure 9a: % of misses removed by software "
                  "control\n\n";
     std::vector<std::string> headers{"Benchmark"};
-    for (const auto &pt : points)
+    const auto suite = bench::suiteWorkloads();
+    std::vector<bench::CellStats> cells; // (standard, soft) per point
+    for (const auto &pt : points) {
         headers.push_back(pt.label);
+        // One request per geometry: the exact cells of one geometry
+        // share a three-C shadow pass per workload, alive until the
+        // request returns.
+        cells.push_back(bench::exactCells(
+            suite, {core::scaledConfig(core::presets().get("standard"),
+                                       pt.bytes, pt.line),
+                    core::scaledConfig(core::presets().get("soft"),
+                                       pt.bytes, pt.line)}));
+    }
     util::Table table(std::move(headers));
-    for (const auto &b : workloads::paperBenchmarks()) {
+    for (std::size_t w = 0; w < suite.size(); ++w) {
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, suite[w].name);
         for (std::size_t c = 0; c < std::size(points); ++c) {
-            const auto stand = bench::cachedRun(
-                b.name, core::scaledConfig(core::presets().get("standard"),
-                                           points[c].bytes,
-                                           points[c].line));
-            const auto soft = bench::cachedRun(
-                b.name, core::scaledConfig(core::presets().get("soft"),
-                                           points[c].bytes,
-                                           points[c].line));
+            const auto &stand = cells[c][w][0];
+            const auto &soft = cells[c][w][1];
             const double removed =
                 stand.misses == 0
                     ? 0.0

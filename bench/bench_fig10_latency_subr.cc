@@ -24,18 +24,24 @@ main(int argc, char **argv)
     std::cout << "\nFigure 10a: most time-consuming Perfect Club "
                  "subroutines (AMAT)\n\n";
     util::Table ta({"Subroutine", "Stand.", "Soft.", "Improvement"});
-    for (const auto &b : workloads::kernelOnlyBenchmarks()) {
-        const auto t = workloads::makeTaggedTrace(b.build());
-        const std::string cell = b.name + "-kernel";
-        const auto stand =
-            bench::runCell(t, core::presets().get("standard"), cell);
-        const auto soft = bench::runCell(t, core::presets().get("soft"), cell);
+    const auto &kernels = workloads::kernelOnlyBenchmarks();
+    std::vector<harness::Workload> kernel_traces;
+    for (const auto &b : kernels) {
+        kernel_traces.push_back({b.name + "-kernel", [build = b.build] {
+                                     return workloads::makeTaggedTrace(
+                                         build());
+                                 }});
+    }
+    const auto kernel_cells = bench::derivedCells(
+        kernel_traces, bench::presetConfigs({"standard", "soft"}));
+    for (std::size_t w = 0; w < kernels.size(); ++w) {
+        const double stand = kernel_cells[w][0].amat();
+        const double soft = kernel_cells[w][1].amat();
         const auto row = ta.addRow();
-        ta.set(row, 0, b.name);
-        ta.setNumber(row, 1, stand.amat());
-        ta.setNumber(row, 2, soft.amat());
-        ta.set(row, 3,
-               util::formatPercent(1.0 - soft.amat() / stand.amat()));
+        ta.set(row, 0, kernels[w].name);
+        ta.setNumber(row, 1, stand);
+        ta.setNumber(row, 2, soft);
+        ta.set(row, 3, util::formatPercent(1.0 - soft / stand));
     }
     ta.print(std::cout);
 
@@ -43,22 +49,25 @@ main(int argc, char **argv)
                  "(AMAT Stand. - AMAT Soft.)\n\n";
     const Cycle latencies[] = {5, 10, 15, 20, 25, 30};
     std::vector<std::string> headers{"Benchmark"};
-    for (const auto lat : latencies)
+    std::vector<core::Config> configs; // (standard, soft) per latency
+    for (const auto lat : latencies) {
         headers.push_back("lat=" + std::to_string(lat));
+        for (const char *key : {"standard", "soft"}) {
+            auto cfg = core::presets().get(key);
+            cfg.timing.memoryLatency = lat;
+            cfg.name += " lat" + std::to_string(lat);
+            configs.push_back(std::move(cfg));
+        }
+    }
+    const auto suite = bench::suiteWorkloads();
+    const auto cells = bench::exactCells(suite, configs);
     util::Table tb(std::move(headers));
-    for (const auto &b : workloads::paperBenchmarks()) {
+    for (std::size_t w = 0; w < suite.size(); ++w) {
         const auto row = tb.addRow();
-        tb.set(row, 0, b.name);
+        tb.set(row, 0, suite[w].name);
         for (std::size_t c = 0; c < std::size(latencies); ++c) {
-            auto stand = core::presets().get("standard");
-            auto soft = core::presets().get("soft");
-            stand.timing.memoryLatency = latencies[c];
-            soft.timing.memoryLatency = latencies[c];
-            stand.name += " lat" + std::to_string(latencies[c]);
-            soft.name += " lat" + std::to_string(latencies[c]);
             const double gap =
-                bench::cachedRun(b.name, stand).amat() -
-                bench::cachedRun(b.name, soft).amat();
+                cells[w][2 * c].amat() - cells[w][2 * c + 1].amat();
             tb.setNumber(row, c + 1, gap, 3);
         }
     }

@@ -25,57 +25,55 @@ main(int argc, char **argv)
     const std::int64_t n = 1200;
     const std::int64_t blocks[] = {10,  20,  30,  40,  50,
                                    100, 400, 600, 1200};
-    util::Table ta({"Block size", "Stand.", "Soft."});
+    const auto configs = bench::presetConfigs({"standard", "soft"});
+    std::vector<harness::Workload> blocked;
     for (const auto b : blocks) {
-        const auto t = workloads::makeTaggedTrace(
-            workloads::buildBlockedMv(n, b));
+        blocked.push_back({"BlockedMV-b" + std::to_string(b), [n, b] {
+                               return workloads::makeTaggedTrace(
+                                   workloads::buildBlockedMv(n, b));
+                           }});
+    }
+    const auto blocked_cells = bench::derivedCells(blocked, configs);
+    util::Table ta({"Block size", "Stand.", "Soft."});
+    for (std::size_t w = 0; w < std::size(blocks); ++w) {
         const auto row = ta.addRow();
-        ta.set(row, 0, std::to_string(b));
-        const std::string cell =
-            "BlockedMV-b" + std::to_string(b);
-        ta.setNumber(row, 1,
-                     bench::runCell(t, core::presets().get("standard"), cell)
-                         .amat());
-        ta.setNumber(
-            row, 2,
-            bench::runCell(t, core::presets().get("soft"), cell).amat());
+        ta.set(row, 0, std::to_string(blocks[w]));
+        ta.setNumber(row, 1, blocked_cells[w][0].amat());
+        ta.setNumber(row, 2, blocked_cells[w][1].amat());
     }
     ta.print(std::cout);
 
     std::cout << "\nFigure 11b: data copying for blocked matrix "
                  "multiply (AMAT), leading dimension sweep\n\n";
-    util::Table tb({"Leading dim", "NoCopy (stand.)", "Copy (stand.)",
-                    "NoCopy (soft.)", "Copy (soft.)"});
     const std::int64_t mm_n = 80;
     const std::int64_t mm_block = 16;
-    for (std::int64_t ld = 116; ld <= 126; ++ld) {
-        const auto plain = workloads::makeTaggedTrace(
-            workloads::buildCopiedMm(mm_n, ld, mm_block, false));
-        const auto copied = workloads::makeTaggedTrace(
-            workloads::buildCopiedMm(mm_n, ld, mm_block, true));
+    const std::int64_t first_ld = 116;
+    const std::int64_t last_ld = 126;
+    std::vector<harness::Workload> copied; // (nocopy, copy) per ld
+    for (std::int64_t ld = first_ld; ld <= last_ld; ++ld) {
+        for (const bool copy : {false, true}) {
+            copied.push_back(
+                {std::string(copy ? "CopiedMM-copy-ld"
+                                  : "CopiedMM-nocopy-ld") +
+                     std::to_string(ld),
+                 [mm_n, ld, mm_block, copy] {
+                     return workloads::makeTaggedTrace(
+                         workloads::buildCopiedMm(mm_n, ld, mm_block,
+                                                  copy));
+                 }});
+        }
+    }
+    const auto copied_cells = bench::derivedCells(copied, configs);
+    util::Table tb({"Leading dim", "NoCopy (stand.)", "Copy (stand.)",
+                    "NoCopy (soft.)", "Copy (soft.)"});
+    for (std::int64_t ld = first_ld; ld <= last_ld; ++ld) {
+        const auto w = static_cast<std::size_t>(2 * (ld - first_ld));
         const auto row = tb.addRow();
         tb.set(row, 0, std::to_string(ld));
-        const std::string plain_cell =
-            "CopiedMM-nocopy-ld" + std::to_string(ld);
-        const std::string copied_cell =
-            "CopiedMM-copy-ld" + std::to_string(ld);
-        tb.setNumber(
-            row, 1,
-            bench::runCell(plain, core::presets().get("standard"), plain_cell)
-                .amat());
-        tb.setNumber(
-            row, 2,
-            bench::runCell(copied, core::presets().get("standard"),
-                           copied_cell)
-                .amat());
-        tb.setNumber(
-            row, 3,
-            bench::runCell(plain, core::presets().get("soft"), plain_cell)
-                .amat());
-        tb.setNumber(
-            row, 4,
-            bench::runCell(copied, core::presets().get("soft"), copied_cell)
-                .amat());
+        tb.setNumber(row, 1, copied_cells[w][0].amat());
+        tb.setNumber(row, 2, copied_cells[w + 1][0].amat());
+        tb.setNumber(row, 3, copied_cells[w][1].amat());
+        tb.setNumber(row, 4, copied_cells[w + 1][1].amat());
     }
     tb.print(std::cout);
 

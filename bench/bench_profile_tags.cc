@@ -28,23 +28,30 @@ main(int argc, char **argv)
     util::Table table({"Benchmark", "Stand.", "Soft. no tags",
                        "Soft. compiler tags", "Soft. profile tags",
                        "headroom recovered"});
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &t = bench::benchmarkTrace(b.name);
-        const double stand =
-            bench::cachedRun(b.name, core::presets().get("standard")).amat();
-        const double none =
-            bench::runCell(analysis::stripAllTags(t),
-                           core::presets().get("soft"), b.name + "-notags")
-                .amat();
-        const double compiler =
-            bench::cachedRun(b.name, core::presets().get("soft")).amat();
-        const double profile =
-            bench::runCell(locality::retagFromProfile(t),
-                           core::presets().get("soft"),
-                           b.name + "-profiletags")
-                .amat();
+    const auto suite = bench::suiteWorkloads();
+    std::vector<harness::Workload> retagged; // (no tags, profile) each
+    for (const auto &w : suite) {
+        retagged.push_back(
+            bench::variantOf(w.name, "notags", analysis::stripAllTags));
+        retagged.push_back(bench::variantOf(
+            w.name, "profiletags", [](const trace::Trace &t) {
+                return locality::retagFromProfile(t);
+            }));
+    }
+    // The retagged cells run first: their builds generate the suite
+    // traces in suite order, so each variant is built while only the
+    // traces before it are cached, not all nine.
+    const auto retagged_cells =
+        bench::derivedCells(retagged, bench::presetConfigs({"soft"}));
+    const auto informed =
+        bench::exactCells(suite, bench::presetConfigs({"standard", "soft"}));
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        const double stand = informed[w][0].amat();
+        const double none = retagged_cells[2 * w][0].amat();
+        const double compiler = informed[w][1].amat();
+        const double profile = retagged_cells[2 * w + 1][0].amat();
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, suite[w].name);
         table.setNumber(row, 1, stand);
         table.setNumber(row, 2, none);
         table.setNumber(row, 3, compiler);

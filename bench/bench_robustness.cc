@@ -9,6 +9,7 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hh"
 #include "src/analysis/tag_transform.hh"
@@ -29,34 +30,41 @@ main(int argc, char **argv)
     util::Table table({"Benchmark", "Stand.", "Soft.", "no temp",
                        "no spat", "no tags", "flip 10%", "flip 25%",
                        "flip 50%", "flip 100%"});
+    const auto suite = bench::suiteWorkloads();
+    const auto stand =
+        bench::exactCells(suite, bench::presetConfigs({"standard"}));
+    const auto flip = [](double fraction) {
+        return [fraction](const trace::Trace &t) {
+            return analysis::corruptTags(t, fraction);
+        };
+    };
+    const std::pair<const char *, bench::TraceTransform> variants[] = {
+        {"tags", [](const trace::Trace &t) { return t; }},
+        {"notemp", analysis::stripTemporalTags},
+        {"nospat", analysis::stripSpatialTags},
+        {"notags", analysis::stripAllTags},
+        {"flip10", flip(0.10)},
+        {"flip25", flip(0.25)},
+        {"flip50", flip(0.50)},
+        {"flip100", flip(1.00)},
+    };
+    std::vector<harness::Workload> degraded;
+    for (const auto &w : suite) {
+        for (const auto &[variant, transform] : variants)
+            degraded.push_back(bench::variantOf(w.name, variant, transform));
+    }
+    const auto soft =
+        bench::derivedCells(degraded, bench::presetConfigs({"soft"}));
     std::size_t unsafe = 0;
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &t = bench::benchmarkTrace(b.name);
-        const double stand =
-            bench::cachedRun(b.name, core::presets().get("standard")).amat();
-        const auto soft_cfg = core::presets().get("soft");
-        auto amat_of = [&](const trace::Trace &tr,
-                           const std::string &variant) {
-            return bench::runCell(tr, soft_cfg,
-                                  b.name + "-" + variant)
-                .amat();
-        };
-        const double variants[] = {
-            amat_of(t, "tags"),
-            amat_of(analysis::stripTemporalTags(t), "notemp"),
-            amat_of(analysis::stripSpatialTags(t), "nospat"),
-            amat_of(analysis::stripAllTags(t), "notags"),
-            amat_of(analysis::corruptTags(t, 0.10), "flip10"),
-            amat_of(analysis::corruptTags(t, 0.25), "flip25"),
-            amat_of(analysis::corruptTags(t, 0.50), "flip50"),
-            amat_of(analysis::corruptTags(t, 1.00), "flip100"),
-        };
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        const double base = stand[w][0].amat();
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
-        table.setNumber(row, 1, stand);
+        table.set(row, 0, suite[w].name);
+        table.setNumber(row, 1, base);
         for (std::size_t i = 0; i < std::size(variants); ++i) {
-            table.setNumber(row, i + 2, variants[i]);
-            if (variants[i] > stand * 1.02)
+            const double amat = soft[w * std::size(variants) + i][0].amat();
+            table.setNumber(row, i + 2, amat);
+            if (amat > base * 1.02)
                 ++unsafe;
         }
     }

@@ -85,6 +85,10 @@ SoftwareAssistedCache::observe(const Observers &obs)
                "set profiler sized for ",
                obs.setProfiler ? obs.setProfiler->numSets() : 0,
                " sets, main cache has ", main_.numSets());
+    // A recorder attached mid-run counts from the current state, not
+    // from zero, so its first snapshot holds only observed accesses.
+    if (obs.interval && obs.interval != obs_.interval)
+        obs.interval->startFrom(stats_);
     obs_ = obs;
     selectMode();
 }

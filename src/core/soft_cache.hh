@@ -176,7 +176,8 @@ class SoftwareAssistedCache
      * them all). While any is set, detailed replay runs the Observed
      * instantiation of the access path, which calls them; otherwise it
      * runs one with no hook code at all. A set profiler must be sized
-     * for mainArray().numSets() (asserted).
+     * for mainArray().numSets() (asserted). A newly attached interval
+     * recorder counts from the current stats (startFrom()).
      */
     void observe(const Observers &obs);
 

@@ -70,12 +70,6 @@ BenchOptions::parse(const util::Args &args)
         opts.preset = core::presets().get(name);
     }
 
-    const auto chunk = args.getInt(
-        "trace-chunk", static_cast<std::int64_t>(opts.traceChunk));
-    if (!chunk || *chunk <= 0)
-        badCommandLine("--trace-chunk expects a positive integer");
-    opts.traceChunk = static_cast<std::size_t>(*chunk);
-
     const auto seed = args.getInt(
         "trace-seed", static_cast<std::int64_t>(opts.traceSeed));
     if (!seed || *seed < 0)

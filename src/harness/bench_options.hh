@@ -17,7 +17,6 @@
 
 #include "src/core/config.hh"
 #include "src/sim/sampling.hh"
-#include "src/trace/trace_source.hh"
 
 namespace sac {
 namespace util {
@@ -48,9 +47,6 @@ struct BenchOptions
 
     /** The --preset key as typed (empty when absent). */
     std::string presetName;
-
-    /** --trace-chunk N: records per chunk in streamed replay. */
-    std::size_t traceChunk = trace::TraceSource::defaultChunkRecords;
 
     /** --trace-seed N: timing seed for generated traces. */
     std::uint64_t traceSeed = 0x7ac3ull;

@@ -805,17 +805,17 @@ sampledMatrix(const std::vector<Workload> &workloads,
 }
 
 std::vector<Workload>
-paperWorkloads()
+paperWorkloads(std::uint64_t seed)
 {
     std::vector<Workload> out;
     for (const auto &b : workloads::paperBenchmarks()) {
         out.push_back(
             {b.name,
-             [name = b.name] {
-                 return workloads::makeBenchmarkTrace(name);
+             [name = b.name, seed] {
+                 return workloads::makeBenchmarkTrace(name, seed);
              },
-             [name = b.name](const trace::RecordSink &sink) {
-                 workloads::streamBenchmarkTrace(name, sink);
+             [name = b.name, seed](const trace::RecordSink &sink) {
+                 workloads::streamBenchmarkTrace(name, sink, seed);
              }});
     }
     return out;

@@ -65,7 +65,7 @@ struct Workload
      * without materializing the trace. When set, runStreamed() keeps
      * memory bounded by the chunk size instead of the trace length.
      */
-    std::function<void(const trace::RecordSink &)> stream;
+    std::function<void(const trace::RecordSink &)> stream = nullptr;
 };
 
 /**
@@ -405,8 +405,8 @@ class Runner
     telemetry::PhaseTimer phases_;
 };
 
-/** The nine paper benchmarks as harness workloads. */
-std::vector<Workload> paperWorkloads();
+/** The nine paper benchmarks as workloads, traced with timing seed @p seed. */
+std::vector<Workload> paperWorkloads(std::uint64_t seed = 0x7ac3ull);
 
 /**
  * Render a sampled sweep as the classic figure table: one row per

@@ -514,17 +514,18 @@ Runner::run(const SweepRequest &request)
         for (const auto &cfg : request.configs)
             headers.push_back(cfg.name);
         out.table = util::Table(std::move(headers));
-        for (const auto &w : request.workloads) {
+        for (std::size_t wi = 0; wi < n_w; ++wi) {
+            const Workload &w = request.workloads[wi];
             const auto row = out.table.addRow();
             out.table.set(row, 0, w.name);
             for (std::size_t ci = 0; ci < n_c; ++ci) {
                 const core::Config &cfg = request.configs[ci];
-                out.table.setNumber(
-                    row, ci + 1,
-                    request.metric.extract(stacked[ci]
-                                               ? *stackStats(w, cfg)
-                                               : cell(w, cfg).stats),
-                    request.metric.decimals);
+                SweepResult::Cell &r = record(wi, ci);
+                r.stats = stacked[ci] ? *stackStats(w, cfg)
+                                      : cell(w, cfg).stats;
+                out.table.setNumber(row, ci + 1,
+                                    request.metric.extract(r.stats),
+                                    request.metric.decimals);
             }
         }
     }

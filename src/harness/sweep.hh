@@ -229,6 +229,12 @@ struct SweepResult
         std::string manifestFile;
         /** On-disk manifest path (set when written to manifestDir). */
         std::string manifestPath;
+        /**
+         * Exact and stack cells: the statistics the cell was rendered
+         * from (counts only for stack cells). Sampled cells leave it
+         * empty.
+         */
+        sim::RunStats stats;
     };
 
     /** All cells, workload-major in request order. */

@@ -32,6 +32,13 @@ IntervalRecorder::IntervalRecorder(std::uint64_t interval_records)
 }
 
 void
+IntervalRecorder::startFrom(const sim::RunStats &stats)
+{
+    last_ = stats;
+    lastValues_ = counterValues(stats);
+}
+
+void
 IntervalRecorder::finish(const sim::RunStats &stats,
                          std::uint32_t wb_occupancy)
 {

@@ -88,6 +88,14 @@ class IntervalRecorder
     void finish(const sim::RunStats &stats,
                 std::uint32_t wb_occupancy);
 
+    /**
+     * Count from @p stats instead of zero: the state of a run the
+     * recorder joins part-way. The next snapshot starts at
+     * stats.accesses and holds only the deltas made after this call.
+     * core::SoftwareAssistedCache::observe() calls it on attach.
+     */
+    void startFrom(const sim::RunStats &stats);
+
     /** Snapshot period in records. */
     std::uint64_t intervalRecords() const { return every_; }
 

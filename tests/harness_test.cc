@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "src/harness/sweep.hh"
@@ -127,6 +128,28 @@ TEST(HarnessRunner, PaperWorkloadsMatchRegistry)
     ASSERT_EQ(ws.size(), 9u);
     EXPECT_EQ(ws.front().name, "MDG");
     EXPECT_EQ(ws.back().name, "SpMV");
+}
+
+TEST(HarnessRunner, PaperWorkloadsUseTheirSeed)
+{
+    // Every workload builds and streams makeBenchmarkTrace(name, seed);
+    // the default seed is makeBenchmarkTrace()'s own.
+    const std::uint64_t seed = 1;
+    const auto equal = [](const trace::Trace &a, const trace::Trace &b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    for (const auto &w : harness::paperWorkloads(seed)) {
+        const auto expected = workloads::makeBenchmarkTrace(w.name, seed);
+        EXPECT_TRUE(equal(w.build(), expected)) << w.name;
+        trace::Trace streamed;
+        w.stream([&streamed](const trace::Record &r) { streamed.push(r); });
+        EXPECT_TRUE(equal(streamed, expected)) << w.name;
+    }
+    const auto mv = harness::paperWorkloads().at(7);
+    ASSERT_EQ(mv.name, "MV");
+    EXPECT_TRUE(equal(mv.build(), workloads::makeBenchmarkTrace("MV")));
+    EXPECT_FALSE(
+        equal(mv.build(), workloads::makeBenchmarkTrace("MV", seed)));
 }
 
 TEST(HarnessCsv, PlainTable)

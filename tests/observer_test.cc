@@ -32,6 +32,16 @@ using telemetry::EventTracer;
 using telemetry::IntervalRecorder;
 using telemetry::SetProfiler;
 
+/** The counters of @p s, in IntervalRecorder::counterNames() order. */
+std::vector<std::uint64_t>
+counterValues(const sim::RunStats &s)
+{
+    std::vector<std::uint64_t> out;
+    s.forEachCounter([&out](const char *, const char *,
+                            std::uint64_t value) { out.push_back(value); });
+    return out;
+}
+
 /** All four observers of one simulator. */
 struct AllObservers
 {
@@ -139,9 +149,11 @@ TEST(Observers, AttachAndDetachMidRunSeeOnlyTheAttachedAccesses)
     SoftwareAssistedCache sim(cfg);
     AllObservers o(sim, 1);
     sim.replay(t.data(), third);
+    const sim::RunStats attached = sim.stats();
     sim.observe(o.pointers());
     for (std::size_t i = third; i < 2 * third; ++i)
         sim.access(t[i]);
+    const sim::RunStats detached = sim.stats();
     sim.observe({});
     sim.replay(t.data() + 2 * third, t.size() - 2 * third);
     sim.finish();
@@ -154,8 +166,17 @@ TEST(Observers, AttachAndDetachMidRunSeeOnlyTheAttachedAccesses)
     // One snapshot per observed access; finish() ran detached, so no
     // closing snapshot follows.
     ASSERT_EQ(o.interval.snapshots().size(), third);
+    EXPECT_EQ(o.interval.snapshots().front().startRecord, third);
     EXPECT_EQ(o.interval.snapshots().front().endRecord, third + 1);
     EXPECT_EQ(o.interval.snapshots().back().endRecord, 2 * third);
+    // The series holds the attached accesses' deltas and nothing
+    // from before the attach.
+    std::vector<std::uint64_t> observed;
+    const auto before = counterValues(attached);
+    const auto after = counterValues(detached);
+    for (std::size_t i = 0; i < after.size(); ++i)
+        observed.push_back(after[i] - before[i]);
+    EXPECT_EQ(o.interval.deltaTotals(), observed);
 }
 
 TEST(ObserversDeathTest, SetProfilerSizedForAnotherCacheIsRejected)

@@ -257,6 +257,48 @@ TEST(SweepRequestDifferential, SampledMatchesSampledEngineOracle)
     fs::remove_all(dir);
 }
 
+TEST(SweepRequestDifferential, CellStatsAreWhatEachCellRendered)
+{
+    // Lazily built workloads outside the paper suite, as the benches'
+    // derived tables use them: exact cells carry the serial replay's
+    // stats, stack cells the stack store's, at any worker count.
+    const std::vector<Workload> ws = {mvWorkload("MV-a", 28),
+                                      mvWorkload("MV-b", 36),
+                                      mvWorkload("MV-c", 44)};
+    const auto cfgs = mixedConfigs(); // 2 stack-eligible + soft
+    const auto exact = oracle::exactStats(ws, cfgs);
+    for (const unsigned jobs : {1u, 4u}) {
+        Runner r;
+        SweepRequest req;
+        req.workloads = ws;
+        req.configs = cfgs;
+        req.metric = harness::missRatioMetric();
+        req.jobs = jobs;
+        const SweepResult result = r.run(req);
+        EXPECT_EQ(r.tracesGenerated(), ws.size());
+        ASSERT_EQ(result.cells.size(), ws.size() * cfgs.size());
+        std::size_t stacked = 0;
+        for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+            for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+                const auto &cell = result.cells[wi * cfgs.size() + ci];
+                if (cell.engine == EngineTag::StackSinglePass) {
+                    ++stacked;
+                    const sim::RunStats *stack =
+                        r.stackStats(ws[wi], cfgs[ci]);
+                    ASSERT_NE(stack, nullptr);
+                    EXPECT_EQ(cell.stats, *stack);
+                    EXPECT_EQ(cell.stats.misses, exact[wi][ci].misses);
+                } else {
+                    EXPECT_EQ(cell.engine, EngineTag::ExactReplay);
+                    EXPECT_EQ(cell.stats, exact[wi][ci])
+                        << cell.workload << " / " << cell.configName;
+                }
+            }
+        }
+        EXPECT_EQ(stacked, 2 * ws.size()) << "jobs " << jobs;
+    }
+}
+
 TEST(SweepRequestRouting, AutoServesStackFamilyByOnePass)
 {
     const auto ws = twoWorkloads();

@@ -49,6 +49,13 @@
 #                               # sweep that must count
 #                               # sacd_parallel_windows > 0 in the
 #                               # metrics verb
+#   tools/check.sh figures      # every figure/ablation bench at
+#                               # --jobs 1 and --jobs 4 with
+#                               # --emit-json (Release): stdout and
+#                               # the manifest file names must be
+#                               # identical, each manifest identical
+#                               # modulo "timing" (not in the default
+#                               # modes; several minutes)
 #   tools/check.sh service      # sweep service end to end: the
 #                               # Service* tests, then a live sacd
 #                               # driven by sacctl — submit/status/
@@ -384,36 +391,21 @@ EOF
         par_sweep 4 parallel
         diff "${par_dir}/table-serial.txt" \
             "${par_dir}/table-parallel.txt"
-        python3 - "${par_dir}/run-serial" "${par_dir}/run-parallel" <<'EOF'
-import glob, json, os, sys
-serial, parallel = sys.argv[1], sys.argv[2]
-names = sorted(os.path.basename(p)
-               for p in glob.glob(serial + "/*.json"))
-if not names:
-    sys.exit(f"{serial}: no manifests")
-def canon(path):
-    with open(path) as f:
-        doc = json.load(f)
-    doc.pop("timing", None)
-    return json.dumps(doc, sort_keys=True)
+        python3 tools/sac_report.py same "${par_dir}/run-serial" \
+            "${par_dir}/run-parallel"
+        python3 - "${par_dir}/run-parallel" <<'EOF'
+import glob, json, sys
 counted = 0
-for name in names:
-    other = os.path.join(parallel, name)
-    if not os.path.exists(other):
-        sys.exit(f"{name}: missing from the parallel run")
-    if canon(os.path.join(serial, name)) != canon(other):
-        sys.exit(f"{name}: parallel manifest differs from serial")
-    with open(other) as f:
-        doc = json.load(f)
-    par = doc.get("timing", {}).get("parallel")
+for path in sorted(glob.glob(sys.argv[1] + "/*.json")):
+    with open(path) as f:
+        par = json.load(f).get("timing", {}).get("parallel")
     if par is not None:
         if par.get("windows", 0) <= 0:
-            sys.exit(f"{name}: timing.parallel without windows")
+            sys.exit(f"{path}: timing.parallel without windows")
         counted += 1
 if counted == 0:
     sys.exit("no parallel-run manifest carries timing.parallel")
-print(f"  {len(names)} manifests identical modulo timing; "
-      f"{counted} carry timing.parallel")
+print(f"  {counted} manifests carry timing.parallel")
 EOF
         echo "=== [parallel] live sacd sweep (metrics must count) ==="
         sock="${par_dir}/sacd.sock"
@@ -508,27 +500,11 @@ EOF
             --presets=standard,soft-temporal,soft-spatial,soft \
             --metric=miss-ratio --jobs=2 \
             --out="${svc_dir}/streamed" > "${svc_dir}/svc-table.txt"
-        python3 - "${svc_dir}/streamed" "${svc_dir}/cli-manifests" <<'EOF'
-import glob, json, os, sys
-streamed, reference = sys.argv[1], sys.argv[2]
-names = sorted(os.path.basename(p)
-               for p in glob.glob(streamed + "/*.json"))
-if not names:
-    sys.exit(f"{streamed}: no streamed manifests")
-def canon(path):
-    with open(path) as f:
-        doc = json.load(f)
-    doc.pop("timing", None)
-    return json.dumps(doc, sort_keys=True)
-for name in names:
-    ref = os.path.join(reference, name)
-    if not os.path.exists(ref):
-        sys.exit(f"{name}: streamed manifest has no CLI counterpart")
-    if canon(os.path.join(streamed, name)) != canon(ref):
-        sys.exit(f"{name}: streamed document differs from CLI path")
-print(f"  {len(names)} streamed manifests byte-identical to the "
-      f"CLI path (modulo timing)")
-EOF
+        # Every streamed manifest must match its CLI counterpart; the
+        # CLI run also wrote the Figure 7 cells the submit did not ask
+        # for.
+        python3 tools/sac_report.py same --subset "${svc_dir}/streamed" \
+            "${svc_dir}/cli-manifests"
         echo "=== [service] status + metrics verbs ==="
         ctl status > "${svc_dir}/status.json"
         python3 - "${svc_dir}/status.json" <<'EOF'
@@ -563,11 +539,54 @@ EOF
         echo "=== [service] OK ==="
         continue
     fi
+    if [[ "$mode" == "figures" ]]; then
+        # Figures leg: every table a bench prints is independent of the
+        # worker count. Each figure/ablation bench runs at --jobs 1 and
+        # --jobs 4 with --emit-json; stdout must be byte-identical and
+        # the manifests identical modulo "timing".
+        build_dir="build-check-figures"
+        benches=(bench_fig01_locality bench_fig03_bypass_victim
+                 bench_fig04_instrumentation bench_fig06_amat
+                 bench_fig07_traffic_missratio bench_fig08_linesize
+                 bench_fig09_size_assoc bench_fig10_latency_subr
+                 bench_fig11_blocking_copying bench_fig12_prefetch
+                 bench_profile_tags bench_related_work bench_robustness
+                 bench_ablation_design)
+        echo "=== [figures] configure + build (${build_dir}) ==="
+        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
+            -DCMAKE_BUILD_TYPE=Release > /dev/null
+        targets=()
+        for b in "${benches[@]}"; do
+            targets+=(--target "$b")
+        done
+        cmake --build "${build_dir}" -j "$(nproc)" "${targets[@]}"
+        fig_dir="${build_dir}/figures-run"
+        rm -rf "${fig_dir}"
+        for b in "${benches[@]}"; do
+            echo "=== [figures] ${b}: --jobs 1 vs --jobs 4 ==="
+            for jobs in 1 4; do
+                mkdir -p "${fig_dir}/jobs${jobs}"
+                "${build_dir}/bench/${b}" --jobs "${jobs}" \
+                    --emit-json "${fig_dir}/jobs${jobs}/${b}" \
+                    > "${fig_dir}/jobs${jobs}/${b}.txt"
+            done
+            cmp "${fig_dir}/jobs1/${b}.txt" "${fig_dir}/jobs4/${b}.txt"
+            if [[ -d "${fig_dir}/jobs1/${b}" ]]; then
+                python3 tools/sac_report.py same \
+                    "${fig_dir}/jobs1/${b}" "${fig_dir}/jobs4/${b}"
+            elif [[ -d "${fig_dir}/jobs4/${b}" ]]; then
+                echo "${b}: manifests only at --jobs 4" >&2
+                exit 1
+            fi
+        done
+        echo "=== [figures] OK ==="
+        continue
+    fi
     case "$mode" in
       plain)   sanitize="" ;;
       address) sanitize="address" ;;
       thread)  sanitize="thread" ;;
-      *) echo "unknown mode '$mode' (plain|address|thread|perf|sampling|stack|telemetry|checkpoint|parallel|service|--quick)" >&2; exit 2 ;;
+      *) echo "unknown mode '$mode' (plain|address|thread|perf|sampling|stack|telemetry|checkpoint|parallel|service|figures|--quick)" >&2; exit 2 ;;
     esac
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="

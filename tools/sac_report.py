@@ -22,6 +22,12 @@ Subcommands:
                                  words_per_access) regressed by more
                                  than F relative (default 0.02);
                                  exits 1 when any did
+  same   A B [--subset]          require the same manifest file
+                                 names in A and B (--subset: every
+                                 name in A also in B), each document
+                                 identical modulo its wall-clock
+                                 "timing" object, and identical
+                                 interval series; exits 1 otherwise
 
 ``check`` and ``render`` exit nonzero on any schema violation, on
 interval deltas that do not sum to the manifest counters (they must
@@ -480,6 +486,47 @@ def cmd_diff(args):
     print(f"diff passed ({len(common)} common cells)")
 
 
+def canonical_manifest(path):
+    """A manifest document without its wall-clock "timing" object."""
+    with open(path) as f:
+        doc = json.load(f)
+    doc.pop("timing", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+def cmd_same(args):
+    def names(directory, pattern):
+        return {os.path.basename(p)
+                for p in glob.glob(os.path.join(directory, pattern))}
+
+    a_names = names(args.a, "*.json")
+    if not a_names:
+        fail(f"{args.a}: no manifests")
+    problems = []
+    for pattern in ("*.json", "*.intervals.jsonl"):
+        a, b = names(args.a, pattern), names(args.b, pattern)
+        for name in sorted(a - b):
+            problems.append(f"{name}: missing from {args.b}")
+        if not args.subset:
+            for name in sorted(b - a):
+                problems.append(f"{name}: missing from {args.a}")
+        for name in sorted(a & b):
+            pa, pb = os.path.join(args.a, name), os.path.join(args.b, name)
+            if pattern == "*.json":
+                same = canonical_manifest(pa) == canonical_manifest(pb)
+            else:
+                with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                    same = fa.read() == fb.read()
+            if not same:
+                problems.append(f"{name}: differs")
+    for problem in problems:
+        print(f"  {problem}", file=sys.stderr)
+    if problems:
+        fail(f"{len(problems)} difference(s) between {args.a} and "
+             f"{args.b}")
+    print(f"  {len(a_names)} manifests identical modulo timing")
+
+
 def main():
     p = argparse.ArgumentParser(
         description=__doc__,
@@ -509,6 +556,14 @@ def main():
                    help="print every compared metric, not only "
                         "regressions")
     s.set_defaults(fn=cmd_diff)
+
+    s = sub.add_parser("same", help="require identical manifests "
+                                    "modulo timing")
+    s.add_argument("a", metavar="A")
+    s.add_argument("b", metavar="B")
+    s.add_argument("--subset", action="store_true",
+                   help="B may hold manifests A does not")
+    s.set_defaults(fn=cmd_same)
 
     args = p.parse_args()
     args.fn(args)
