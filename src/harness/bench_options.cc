@@ -1,7 +1,10 @@
 #include "src/harness/bench_options.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
+#include <string_view>
 
 #include "src/util/args.hh"
 #include "src/util/thread_pool.hh"
@@ -17,6 +20,14 @@ badCommandLine(const std::string &message)
     std::cerr << message << "\n";
     std::exit(2);
 }
+
+/** Every flag parse() reads (a --no-X form counts as X). */
+constexpr std::string_view benchFlags[] = {
+    "jobs", "intra-jobs", "emit-json", "preset", "trace-seed",
+    "sample", "sample-window", "sample-stride", "sample-warmup",
+    "sample-ci", "sample-error", "checkpoint-dir", "checkpoint-rebuild",
+    "interval", "heatmap",
+};
 
 } // namespace
 
@@ -181,6 +192,13 @@ BenchOptions::parse(int argc, const char *const *argv)
     util::Args args;
     if (!args.parse(argc, argv))
         badCommandLine("bad command line: " + args.error());
+    // A bench owns its whole command line, so a flag it does not
+    // read is a typo that would silently run the default experiment.
+    for (const auto &key : args.keys()) {
+        if (std::find(std::begin(benchFlags), std::end(benchFlags), key) ==
+            std::end(benchFlags))
+            badCommandLine("unknown flag --" + key);
+    }
     return parse(args);
 }
 

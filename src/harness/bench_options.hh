@@ -113,7 +113,13 @@ struct BenchOptions
      */
     static BenchOptions parse(const util::Args &args);
 
-    /** Convenience: parse argv, then the shared flags. */
+    /**
+     * Parse argv, then the shared flags — the entry of programs whose
+     * whole command line is the shared flags (the benches). Unlike
+     * parse(const Args &), which leaves a caller's own flags alone,
+     * it rejects any flag it does not read ("unknown flag --X", exit
+     * status 2).
+     */
     static BenchOptions parse(int argc, const char *const *argv);
 };
 

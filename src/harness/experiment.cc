@@ -89,6 +89,8 @@ struct Runner::ShadowPass
     std::uint32_t lineBytes = 0;
     std::once_flag once;
     std::vector<sim::ShadowOutcome> codes;
+    /** Tasks still to finish with codes: its cells plus the pass. */
+    std::atomic<std::size_t> users{0};
 };
 
 const std::vector<sim::ShadowOutcome> &
@@ -106,6 +108,23 @@ Runner::shadowCodes(ShadowPass &pass)
                                  "shared three-C shadow passes built");
     });
     return pass.codes;
+}
+
+void
+Runner::doneWithShadow(ShadowPass &pass)
+{
+    // The last user frees the codes (1 byte per record) at once
+    // rather than when the sweep returns. Every earlier user has
+    // finished reading them, and the pass task itself is a user, so
+    // the build is complete too.
+    if (pass.users.fetch_sub(1) != 1)
+        return;
+    pass.codes.clear();
+    pass.codes.shrink_to_fit();
+    std::lock_guard<std::mutex> lock(stackMutex_);
+    ++stackCounters_.counter("classifier.shadow.released",
+                             "shared shadow passes freed after their "
+                             "last cell");
 }
 
 const Runner::CellResult &
@@ -305,6 +324,8 @@ Runner::sweepExact(const std::vector<Workload> &workloads,
                                            const core::Config &cfg,
                                            ShadowPass *pass) {
         timed([&] { cellWith(w, cfg, pass); });
+        if (pass)
+            doneWithShadow(*pass);
     };
 
     // Everything outside the stack family is exact-replayed.
@@ -329,8 +350,8 @@ Runner::sweepExact(const std::vector<Workload> &workloads,
     // (trace, classifier geometry), so the uncached exact cells of
     // one workload that classify at one geometry can share a single
     // pass; a group with fewer than two distinct cells gains nothing
-    // over its own live classifier. The codes live until the sweep
-    // returns.
+    // over its own live classifier. The codes are freed as soon as
+    // the pass's last cell finishes.
     const std::size_t n_exact = workloads.size() * exact.size();
     std::vector<std::string> exact_keys;
     for (const core::Config *cfg : exact)
@@ -366,12 +387,14 @@ Runner::sweepExact(const std::vector<Workload> &workloads,
             pass.workload = &w;
             pass.capacityLines = geometry.first;
             pass.lineBytes = geometry.second;
+            pass.users = members.size() + 1;
             for (const std::size_t ci : members)
                 cell_shadow[wi * exact.size() + ci] = &pass;
         }
     }
     const auto timed_shadow = [this, &timed](ShadowPass &pass) {
         timed([&] { shadowCodes(pass); });
+        doneWithShadow(pass);
     };
 
     const std::size_t n_passes = family.empty() ? 0 : workloads.size();
@@ -409,11 +432,15 @@ Runner::sweepExact(const std::vector<Workload> &workloads,
     } else {
         for (std::size_t i = 0; i < n_passes; ++i)
             timed_pass(workloads[i]);
-        for (ShadowPass &pass : shadows)
-            timed_shadow(pass);
+        // Each shadow pass runs just before its first cell, so only
+        // the passes of the workload being replayed hold codes.
+        std::set<const ShadowPass *> started;
         for (std::size_t i = 0; i < n_exact; ++i) {
+            ShadowPass *pass = cell_shadow[i];
+            if (pass && started.insert(pass).second)
+                timed_shadow(*pass);
             timed_cell(workloads[i / exact.size()],
-                       *exact[i % exact.size()], cell_shadow[i]);
+                       *exact[i % exact.size()], pass);
         }
     }
 

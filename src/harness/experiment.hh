@@ -220,6 +220,8 @@ class Runner
      *   stack.pass.fallback_cells exact-replay cells in stack sweeps
      *   classifier.shadow.passes  shared shadow passes built
      *   classifier.shadow.cells   exact cells classified from one
+     *   classifier.shadow.released passes whose codes were freed
+     *                             once their last cell finished
      */
     std::uint64_t stackCounter(const std::string &name) const;
 
@@ -283,6 +285,12 @@ class Runner
 
     /** The codes of @p pass, building them on first use. Thread-safe. */
     const std::vector<sim::ShadowOutcome> &shadowCodes(ShadowPass &pass);
+
+    /**
+     * One user of @p pass (a cell or the pass task) is finished; the
+     * last one frees the codes. Thread-safe.
+     */
+    void doneWithShadow(ShadowPass &pass);
 
     /**
      * cell() classifying from @p pass when given (nullptr = the live

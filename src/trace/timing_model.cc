@@ -35,12 +35,10 @@ TimingModel::TimingModel(util::DiscreteDistribution dist,
 {
 }
 
-std::uint16_t
-TimingModel::sampleDelta()
+void
+TimingModel::deltaOutOfRange(std::int64_t d)
 {
-    const auto d = dist_.sample(rng_);
-    SAC_ASSERT(d >= 1 && d <= 0xffff, "delta out of range");
-    return static_cast<std::uint16_t>(d);
+    util::panic("delta out of range: ", d);
 }
 
 } // namespace trace

@@ -36,7 +36,14 @@ class TimingModel
     TimingModel(util::DiscreteDistribution dist, std::uint64_t seed);
 
     /** Sample the delta (>= 1 cycle) for the next trace entry. */
-    std::uint16_t sampleDelta();
+    std::uint16_t
+    sampleDelta()
+    {
+        const std::int64_t d = dist_.sample(rng_);
+        if (static_cast<std::uint64_t>(d - 1) >= 0xffff) [[unlikely]]
+            deltaOutOfRange(d);
+        return static_cast<std::uint16_t>(d);
+    }
 
     /** The Figure-4b empirical distribution of issue-time deltas. */
     static util::DiscreteDistribution figure4bDistribution();
@@ -51,6 +58,9 @@ class TimingModel
     }
 
   private:
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    deltaOutOfRange(std::int64_t d);
+
     util::DiscreteDistribution dist_;
     util::Rng rng_;
 };

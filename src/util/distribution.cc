@@ -1,6 +1,7 @@
 #include "src/util/distribution.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/util/logging.hh"
 
@@ -25,19 +26,11 @@ DiscreteDistribution::DiscreteDistribution(std::vector<Outcome> outcomes)
         cumulative_.push_back(run);
     }
     cumulative_.back() = 1.0;
-}
-
-std::int64_t
-DiscreteDistribution::sample(Rng &rng) const
-{
-    const double u = rng.nextDouble();
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-    const auto idx = static_cast<std::size_t>(
-        std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                                 static_cast<std::ptrdiff_t>(
-                                     outcomes_.size() - 1)));
-    return outcomes_[idx].value;
+    // cumulative * 2^53 is exact, and for an integer k,
+    // k * 2^-53 < c  <=>  k < ceil(c * 2^53).
+    for (std::size_t i = 0; i + 1 < cumulative_.size(); ++i)
+        thresholds_.push_back(static_cast<std::uint64_t>(
+            std::ceil(std::ldexp(cumulative_[i], 53))));
 }
 
 double

@@ -19,7 +19,8 @@ namespace util {
 
 /**
  * A discrete distribution over arbitrary integer outcomes with given
- * relative weights; samples with a precomputed cumulative table.
+ * relative weights; samples by inverse CDF over a precomputed
+ * cumulative table.
  */
 class DiscreteDistribution
 {
@@ -34,8 +35,23 @@ class DiscreteDistribution
     /** Build from outcomes; total weight must be positive. */
     explicit DiscreteDistribution(std::vector<Outcome> outcomes);
 
-    /** Draw one outcome value using the supplied generator. */
-    std::int64_t sample(Rng &rng) const;
+    /**
+     * Draw one outcome value using the supplied generator (one raw
+     * draw). The draw's 53 high bits k pick the first outcome whose
+     * cumulative weight exceeds k * 2^-53, the last one if none does;
+     * counting the integer thresholds ceil(cumulative * 2^53) that k
+     * reaches selects exactly that outcome with no branch and no
+     * conversion to double.
+     */
+    std::int64_t
+    sample(Rng &rng) const
+    {
+        const std::uint64_t k = rng.next() >> 11;
+        std::size_t i = 0;
+        for (const std::uint64_t t : thresholds_)
+            i += k >= t;
+        return outcomes_[i].value;
+    }
 
     /** Probability mass of outcome index @p i (normalized). */
     double probability(std::size_t i) const;
@@ -52,6 +68,8 @@ class DiscreteDistribution
   private:
     std::vector<Outcome> outcomes_;
     std::vector<double> cumulative_; // normalized, ends at 1.0
+    /** ceil(cumulative_[i] * 2^53) for every outcome but the last. */
+    std::vector<std::uint64_t> thresholds_;
 };
 
 /**

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <fstream>
 
+#include "src/harness/bench_options.hh"
 #include "src/harness/sweep.hh"
+#include "src/util/args.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -187,6 +189,62 @@ TEST(HarnessCsv, UnwritablePathFails)
     util::Table t({"x"});
     EXPECT_FALSE(
         harness::writeCsvFile(t, "/nonexistent_dir/file.csv"));
+}
+
+TEST(BenchOptionsDeathTest, UnknownFlagIsRejected)
+{
+    const char *typo[] = {"prog", "--jobz", "3"};
+    EXPECT_EXIT(harness::BenchOptions::parse(3, typo),
+                testing::ExitedWithCode(2), "unknown flag --jobz");
+    const char *removed[] = {"prog", "--jobs", "2", "--trace-chunk", "5"};
+    EXPECT_EXIT(harness::BenchOptions::parse(5, removed),
+                testing::ExitedWithCode(2), "unknown flag --trace-chunk");
+}
+
+TEST(BenchOptions, EveryOwnFlagParses)
+{
+    const char *argv[] = {"prog",
+                          "--jobs=2",
+                          "--intra-jobs=1",
+                          "--emit-json=out",
+                          "--preset=soft",
+                          "--trace-seed=5",
+                          "--sample",
+                          "--sample-window=64",
+                          "--sample-stride=1024",
+                          "--sample-warmup=0",
+                          "--sample-ci=0.9",
+                          "--sample-error=0",
+                          "--checkpoint-dir=cp",
+                          "--checkpoint-rebuild"};
+    const auto opts = harness::BenchOptions::parse(
+        static_cast<int>(std::size(argv)), argv);
+    EXPECT_EQ(opts.jobs, 2u);
+    EXPECT_EQ(opts.presetName, "soft");
+    EXPECT_EQ(opts.traceSeed, 5u);
+    EXPECT_TRUE(opts.sample);
+    EXPECT_TRUE(opts.checkpointRebuild);
+
+    // The instrumentation flags exclude sampling, so they go alone.
+    const char *instrumented[] = {"prog", "--emit-json", "out",
+                                  "--interval", "100", "--heatmap"};
+    EXPECT_EQ(harness::BenchOptions::parse(6, instrumented).interval, 100u);
+
+    // bench_simspeed forwards what is left once google-benchmark's
+    // --benchmark_* flags are split off.
+    const char *forwarded[] = {"bench_simspeed", "--jobs", "1",
+                               "--emit-json", "dir"};
+    EXPECT_EQ(harness::BenchOptions::parse(5, forwarded).emitJsonDir,
+              "dir");
+}
+
+TEST(BenchOptions, ArgsEntryLeavesCallerFlagsAlone)
+{
+    // sacsim reads its own flags from the same command line.
+    const char *argv[] = {"sacsim", "--l1-kb", "16", "--jobs", "3"};
+    util::Args args;
+    ASSERT_TRUE(args.parse(5, argv));
+    EXPECT_EQ(harness::BenchOptions::parse(args).jobs, 3u);
 }
 
 } // namespace

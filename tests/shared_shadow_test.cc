@@ -231,6 +231,26 @@ TEST(SharedShadow, CachedCellsAndLoneGeometriesBuildNoPass)
     EXPECT_EQ(runner.runsExecuted(), 5 * wls.size());
 }
 
+TEST(SharedShadow, FinishedPassesHoldNoCodes)
+{
+    // Every pass frees its codes as soon as its last cell (a
+    // duplicate config included) is done, not when the request
+    // returns, at any worker count.
+    const auto wls = mixedWorkloads();
+    auto configs = mixedConfigs();
+    configs.push_back(configs.front());
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        Runner runner;
+        runner.warmup(wls);
+        runSweep(runner, wls, configs, jobs);
+        EXPECT_EQ(runner.stackCounter("classifier.shadow.passes"),
+                  wls.size() * kSharedGeometries);
+        EXPECT_EQ(runner.stackCounter("classifier.shadow.released"),
+                  wls.size() * kSharedGeometries);
+    }
+}
+
 TEST(SharedShadow, FuzzCorpusMatchesLiveClassifier)
 {
     // Fuzzed configurations span line sizes, capacities and the

@@ -20,6 +20,14 @@
 #                               # and the shared three-C shadow pass
 #                               # (SharedShadow) against live
 #                               # classifiers
+#   tools/check.sh traces       # trace generation under ASan+UBSan
+#                               # (UB fatal, libstdc++ assertions
+#                               # on): the golden trace
+#                               # hashes, the delta sampler against
+#                               # the upper_bound reference, and the
+#                               # loop-nest interpreter tests, since
+#                               # lowered references do raw address
+#                               # arithmetic
 #   tools/check.sh telemetry    # observability pipeline smoke: a plain
 #                               # sweep with --interval and
 #                               # --heatmap, then sac_report.py
@@ -173,6 +181,29 @@ for mode in "${modes[@]}"; do
         ctest --test-dir "${build_dir}" --output-on-failure \
             -j "$(nproc)" -R 'Stack|SharedShadow'
         echo "=== [stack] OK ==="
+        continue
+    fi
+    if [[ "$mode" == "traces" ]]; then
+        # Traces leg: the loop-nest interpreter walks lowered
+        # references with raw pointer and address arithmetic, so pin
+        # every golden trace hash, the sampler equivalence and the
+        # interpreter's own tests (bounds and record-cap panics
+        # included) under ASan+UBSan, with UB fatal.
+        build_dir="build-check-traces"
+        echo "=== [traces] configure + build (${build_dir}) ==="
+        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="address" \
+            -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+            -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+            > /dev/null
+        cmake --build "${build_dir}" -j "$(nproc)" \
+            --target sac_test_trace_golden_test \
+            --target sac_test_sampler_test \
+            --target sac_test_loopnest_test
+        echo "=== [traces] ctest (golden hashes, sampler, interpreter) ==="
+        ctest --test-dir "${build_dir}" --output-on-failure \
+            -j "$(nproc)" \
+            -R '^(TraceGolden|SamplerEquivalence|AffineExpr|ProgramTest|GeneratorTest)\.'
+        echo "=== [traces] OK ==="
         continue
     fi
     if [[ "$mode" == "telemetry" ]]; then
