@@ -460,7 +460,8 @@ parallelSamplingOptions()
 /**
  * The checkpointed sweep with the window replay sharded across a
  * worker pool (Arg = workers; Arg 1 routes through the serial
- * fallback and must time like a serial replay of the same plan).
+ * fallback and must time like a serial replay of the same plan; 2
+ * and 4 trace the scaling curve on hosts with that many CPUs).
  * Same libraries, same items accounting, and the
  * ParallelDifferential tests prove the report is bit-identical to
  * the serial replay, so the within-run ratio of /8 against /1 is
@@ -504,6 +505,8 @@ BM_SweepSampledCheckpointedParallel(benchmark::State &state)
 }
 BENCHMARK(BM_SweepSampledCheckpointedParallel)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "src/util/args.hh"
@@ -28,6 +30,38 @@ constexpr std::string_view benchFlags[] = {
     "sample-ci", "sample-error", "checkpoint-dir", "checkpoint-rebuild",
     "interval", "heatmap",
 };
+
+/**
+ * The value of a flag that takes one (e.g. --emit-json DIR), or
+ * nullopt when it is absent. A bare --key parses as "true" and a
+ * --no-key as "false"; neither names a value.
+ */
+std::optional<std::string>
+valueFlag(const util::Args &args, const std::string &key,
+          const std::string &what)
+{
+    if (!args.has(key))
+        return std::nullopt;
+    const std::string value = args.getString(key);
+    if (value == "false")
+        badCommandLine("--no-" + key + " is not a flag: --" + key +
+                       " expects " + what);
+    if (value.empty() || value == "true")
+        badCommandLine("--" + key + " expects " + what);
+    return value;
+}
+
+/** An on/off flag: --key, --no-key or --key=true/false. */
+bool
+boolFlag(const util::Args &args, const std::string &key)
+{
+    const bool on = args.getBool(key);
+    // getBool falls back on anything it cannot read as a boolean.
+    if (args.has(key) && on != args.getBool(key, true))
+        badCommandLine("--" + key + " takes no value (got '" +
+                       args.getString(key) + "')");
+    return on;
+}
 
 } // namespace
 
@@ -59,17 +93,11 @@ BenchOptions::parse(const util::Args &args)
                        " (0 = auto)");
     opts.intraJobs = static_cast<unsigned>(*intra_arg);
 
-    if (args.has("emit-json")) {
-        const std::string dir = args.getString("emit-json");
-        // A bare --emit-json (no following value) parses as the
-        // boolean "true"; there is no directory to write to.
-        if (dir.empty() || dir == "true")
-            badCommandLine("--emit-json expects a directory");
-        opts.emitJsonDir = dir;
-    }
+    if (const auto dir = valueFlag(args, "emit-json", "a directory"))
+        opts.emitJsonDir = *dir;
 
-    if (args.has("preset")) {
-        const std::string name = args.getString("preset");
+    if (const auto preset = valueFlag(args, "preset", "a preset name")) {
+        const std::string &name = *preset;
         if (!core::presets().contains(name)) {
             std::string message = "unknown preset \"" + name +
                                   "\"; known presets:";
@@ -87,7 +115,7 @@ BenchOptions::parse(const util::Args &args)
         badCommandLine("--trace-seed expects a non-negative integer");
     opts.traceSeed = static_cast<std::uint64_t>(*seed);
 
-    opts.sample = args.has("sample");
+    opts.sample = boolFlag(args, "sample");
     opts.sampleTuningGiven =
         args.has("sample-window") || args.has("sample-stride") ||
         args.has("sample-warmup") || args.has("sample-ci") ||
@@ -112,18 +140,12 @@ BenchOptions::parse(const util::Args &args)
     opts.sampling.warmup =
         count_flag("sample-warmup", opts.sampling.warmup, 0);
 
-    if (args.has("checkpoint-dir")) {
-        const std::string dir = args.getString("checkpoint-dir");
-        // A bare --checkpoint-dir (no following value) parses as the
-        // boolean "true"; there is no directory to use.
-        if (dir.empty() || dir == "true")
-            badCommandLine("--checkpoint-dir expects a directory");
-        opts.checkpointDir = dir;
-    }
-    opts.checkpointRebuild = args.has("checkpoint-rebuild");
+    if (const auto dir = valueFlag(args, "checkpoint-dir", "a directory"))
+        opts.checkpointDir = *dir;
+    opts.checkpointRebuild = boolFlag(args, "checkpoint-rebuild");
 
     opts.interval = count_flag("interval", opts.interval, 0);
-    opts.heatmap = args.has("heatmap");
+    opts.heatmap = boolFlag(args, "heatmap");
 
     const auto real_flag = [&args](const char *key, double fallback) {
         if (!args.has(key))

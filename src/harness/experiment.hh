@@ -141,7 +141,8 @@ class Runner
      * When two or more uncached exact cells of one workload classify
      * misses at one classifier geometry, they share one
      * sim::shadowPass() built on the pool ("classifier.shadow.*");
-     * its codes are freed when the request returns.
+     * its codes are freed as soon as the last cell reading them
+     * finishes.
      *
      * Sampled requests estimate every cell with sim::SampledEngine
      * over the cached trace; estimates never enter the exact cell

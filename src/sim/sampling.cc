@@ -146,6 +146,34 @@ SamplingOptions::validate() const
         util::fatal("invalid sampling options: ", *err);
 }
 
+SampledEngine::WindowSample
+SampledEngine::sampleOf(const RunStats &prev, const RunStats &cur)
+{
+    const double acc = static_cast<double>(cur.accesses - prev.accesses);
+    const double misses = static_cast<double>(cur.misses - prev.misses);
+    const double cycles = cur.totalAccessCycles - prev.totalAccessCycles;
+    const double words =
+        static_cast<double>(cur.bytesFetched - prev.bytesFetched) /
+        wordBytes;
+    return {misses / acc, cycles / acc, words / acc};
+}
+
+bool
+SampledEngine::addSample(SampleReport &rep, const WindowSample &s) const
+{
+    rep.missRatio.add(s.missRatio);
+    rep.amat.add(s.amat);
+    rep.wordsPerAccess.add(s.words);
+    ++rep.windows;
+    const bool capped =
+        opt_.maxWindows > 0 && rep.windows >= opt_.maxWindows;
+    const bool converged =
+        opt_.targetRelativeError > 0.0 && rep.windows >= opt_.minWindows &&
+        rep.missRatio.relativeError(opt_.confidence) <=
+            opt_.targetRelativeError;
+    return capped || converged;
+}
+
 std::uint64_t
 SampledEngine::drainSkip(trace::TraceSource &src)
 {

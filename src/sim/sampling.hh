@@ -19,17 +19,26 @@
  *  - SampleReport: the per-metric SampleStats, the record accounting
  *    and the exact-fallback flag of one sampled run;
  *  - SampledEngine: drives any trace::TraceSource through a simulator
- *    that models the DetailSim concept (core::SoftwareAssistedCache
- *    with its warming-specialized access path).
+ *    (core::SoftwareAssistedCache with its warming-specialized access
+ *    path) with one period walker in three modes: warmed (run),
+ *    build (buildLibrary) and restore (runCheckpointed and every
+ *    worker of runCheckpointedParallel).
  *
  * The engine is a template over the simulator so src/sim never links
  * against src/core (sac_core links sac_sim; the reverse edge would be
- * a cycle). The concept a simulator must model:
+ * a cycle). What a simulator must model, per entry point:
  *
- *   void runDetailed(const trace::Record *recs, std::size_t n);
- *   void runWarming(const trace::Record *recs, std::size_t n);
- *   const sim::RunStats &stats() const;
- *   void finish();
+ *   run:              void runDetailed(const trace::Record *, size_t);
+ *                     void runWarming(const trace::Record *, size_t);
+ *                     const sim::RunStats &stats() const;
+ *                     void finish();
+ *   buildLibrary:     runWarming, stats, and
+ *                     ArchState exportState() const;
+ *   runCheckpointed:  runDetailed, stats, finish, and
+ *                     void importState(const ArchState &);
+ *   runCheckpointedParallel: what runCheckpointed needs, plus
+ *                     const MissClassifier *classifier() const;
+ *                     void seedClassifier(const MissClassifier &);
  *
  * Warming must update all architectural state (arrays, LRU, temporal
  * bits, write buffer, clocks) exactly as the detailed path does —
@@ -248,11 +257,11 @@ struct ParallelReplayStats
     /** Nanoseconds spent in the ordered merge of worker results. */
     std::uint64_t mergeNanos = 0;
 };
-
 /**
- * The windowed sampler. Stateless apart from its options; run() may
- * be called any number of times (each call is one independent sampled
- * replay).
+ * The windowed sampler. Stateless apart from its options; every entry
+ * point may be called any number of times (each call is one
+ * independent sampled replay). All four walk the same period schedule
+ * through walk(), in one of its three modes.
  */
 class SampledEngine
 {
@@ -277,107 +286,7 @@ class SampledEngine
     SampleReport
     run(trace::TraceSource &src, Sim &sim) const
     {
-        SampleReport rep;
-        rep.confidence = opt_.confidence;
-
-        const std::uint64_t gap = opt_.stride - opt_.window;
-        const std::uint64_t warm = std::min(opt_.warmup, gap);
-        const std::uint64_t skip = gap - warm;
-
-        std::vector<trace::Record> buf(
-            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
-                                    opt_.window));
-        RunStats prev; // stats snapshot at the last window boundary
-        bool more = true;
-        bool stopped_early = false;
-
-        while (more) {
-            // 1. Detailed measurement window.
-            std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runDetailed(buf.data(), n);
-                got += n;
-            }
-            rep.recordsDetailed += got;
-            if (got == opt_.window) {
-                // One complete window: sample the stats delta.
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                rep.missRatio.add(misses / acc);
-                rep.amat.add(cycles / acc);
-                rep.wordsPerAccess.add(words / acc);
-                ++rep.windows;
-                prev = cur;
-
-                const bool capped = opt_.maxWindows > 0 &&
-                                    rep.windows >= opt_.maxWindows;
-                const bool converged =
-                    opt_.targetRelativeError > 0.0 &&
-                    rep.windows >= opt_.minWindows &&
-                    rep.missRatio.relativeError(opt_.confidence) <=
-                        opt_.targetRelativeError;
-                if (more && (capped || converged)) {
-                    // Enough windows: fast-forward the rest.
-                    rep.recordsSkipped += drainSkip(src);
-                    stopped_early = true;
-                    break;
-                }
-            }
-            if (!more)
-                break;
-
-            // 2. Fast-forward the dead part of the period.
-            if (skip > 0) {
-                const std::uint64_t s = src.skip(skip);
-                rep.recordsSkipped += s;
-                if (s < skip)
-                    more = false;
-            }
-
-            // 3. Functional warming into the next window.
-            std::uint64_t warmed = 0;
-            while (more && warmed < warm) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(), warm - warmed));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                warmed += n;
-            }
-            rep.recordsWarmed += warmed;
-            // The warmed records moved architectural state but not
-            // the statistics; resnapshot so the next window's delta
-            // covers exactly its own records.
-            prev = sim.stats();
-        }
-
-        sim.finish();
-        rep.recordsTotal = rep.recordsDetailed + rep.recordsWarmed +
-                           rep.recordsSkipped;
-        rep.exact = !stopped_early && rep.recordsWarmed == 0 &&
-                    rep.recordsSkipped == 0;
-        rep.detailed = sim.stats();
-        return rep;
+        return sampled<Mode::Warmed>(src, sim, nullptr);
     }
 
     /**
@@ -398,8 +307,8 @@ class SampledEngine
      * be freshly constructed. The builder never stops early — it has
      * no statistics to converge on — so the library covers every
      * window any later run() or runCheckpointed() can reach,
-     * including adaptive runs that stop sooner. Requires the extended
-     * Sim concept: ArchState exportState() const.
+     * including adaptive runs that stop sooner. A stream that ends
+     * inside a gap gets one more, trailing live-point.
      */
     template <class Sim>
     void
@@ -407,67 +316,8 @@ class SampledEngine
                  CheckpointLibrary &lib) const
     {
         lib.clear();
-        const std::uint64_t gap = opt_.stride - opt_.window;
-        const std::uint64_t warm = std::min(opt_.warmup, gap);
-        const std::uint64_t skip = gap - warm;
-
-        std::vector<trace::Record> buf(
-            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
-                                    opt_.window));
-        bool more = true;
-        while (more) {
-            // Live-point at this window's start (the first one is the
-            // fresh simulator; restoring it is what makes window 0
-            // identical between the warmed and checkpointed runs).
-            lib.append(sim.exportState());
-
-            // 1. The window position, replayed in warming mode.
-            std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                got += n;
-            }
-            if (!more)
-                break;
-
-            // 2. The dead part of the period never touches state.
-            if (skip > 0) {
-                const std::uint64_t s = src.skip(skip);
-                if (s < skip)
-                    more = false;
-            }
-
-            // 3. Functional warming into the next window.
-            std::uint64_t warmed = 0;
-            while (more && warmed < warm) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(), warm - warmed));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                warmed += n;
-            }
-            if (!more) {
-                // Stream ended inside the gap: the warmed run's state
-                // at finish() includes these trailing warm records,
-                // which the checkpointed run fast-forwards past. A
-                // trailing live-point closes that hole (restored by
-                // runCheckpointed when its gap skip comes up short).
-                lib.append(sim.exportState());
-                break;
-            }
-        }
+        walk<Mode::Build>(src, sim, &lib, 0, noLimit,
+                          [](const WindowSample &) { return false; });
     }
 
     /**
@@ -480,115 +330,14 @@ class SampledEngine
      * sample) are bit-identical to run() over the same source — at
      * warming cost zero. @p lib must have loaded as Hit for the
      * matching key (or been built by buildLibrary over the same
-     * source). Requires the extended Sim concept:
-     * void importState(const ArchState &).
+     * source).
      */
     template <class Sim>
     SampleReport
     runCheckpointed(trace::TraceSource &src, Sim &sim,
                     const CheckpointLibrary &lib) const
     {
-        SampleReport rep;
-        rep.confidence = opt_.confidence;
-
-        const std::uint64_t gap = opt_.stride - opt_.window;
-
-        std::vector<trace::Record> buf(
-            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
-                                    opt_.window));
-        RunStats prev; // stats snapshot at the last window boundary
-        bool more = true;
-        bool stopped_early = false;
-        std::size_t window_index = 0;
-
-        while (more) {
-            // Restore the live-point for this window. buildLibrary
-            // appends one checkpoint per window it enters, so a
-            // matching library always covers us; an exhausted library
-            // (defensive) ends the run like an exhausted stream.
-            const ArchState *cp = lib.checkpointAt(window_index);
-            if (!cp)
-                break;
-            sim.importState(*cp);
-            ++window_index;
-
-            // 1. Detailed measurement window (identical to run()).
-            std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runDetailed(buf.data(), n);
-                got += n;
-            }
-            rep.recordsDetailed += got;
-            if (got == opt_.window) {
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                rep.missRatio.add(misses / acc);
-                rep.amat.add(cycles / acc);
-                rep.wordsPerAccess.add(words / acc);
-                ++rep.windows;
-                prev = cur;
-
-                const bool capped = opt_.maxWindows > 0 &&
-                                    rep.windows >= opt_.maxWindows;
-                const bool converged =
-                    opt_.targetRelativeError > 0.0 &&
-                    rep.windows >= opt_.minWindows &&
-                    rep.missRatio.relativeError(opt_.confidence) <=
-                        opt_.targetRelativeError;
-                if (more && (capped || converged)) {
-                    rep.recordsSkipped += drainSkip(src);
-                    stopped_early = true;
-                    break;
-                }
-            }
-            if (!more)
-                break;
-
-            // 2. Fast-forward the whole gap: the next live-point
-            // replaces functional warming, so warm-position records
-            // are skipped too (recordsWarmed stays 0).
-            if (gap > 0) {
-                const std::uint64_t s = src.skip(gap);
-                rep.recordsSkipped += s;
-                if (s < gap) {
-                    more = false;
-                    // The stream ended inside the gap: adopt the
-                    // builder's trailing live-point so finish() seals
-                    // the same architectural state (write buffer,
-                    // clocks) the warmed run reached through the
-                    // trailing warm records.
-                    if (const ArchState *tail =
-                            lib.checkpointAt(window_index))
-                        sim.importState(*tail);
-                }
-            }
-            prev = sim.stats();
-        }
-
-        sim.finish();
-        rep.recordsTotal = rep.recordsDetailed + rep.recordsWarmed +
-                           rep.recordsSkipped;
-        rep.exact = !stopped_early && rep.recordsWarmed == 0 &&
-                    rep.recordsSkipped == 0;
-        rep.detailed = sim.stats();
-        return rep;
+        return sampled<Mode::Restore>(src, sim, &lib);
     }
 
     /**
@@ -647,24 +396,20 @@ class SampledEngine
         const std::uint64_t W = opt_.window;
         const std::uint64_t S = opt_.stride;
         const auto hint = src.sizeHint();
-        if (workers <= 1 || S <= W || !hint ||
-            opt_.targetRelativeError > 0.0)
+        if (workers <= 1 || S <= W || !hint || opt_.targetRelativeError > 0.0)
             return serial();
 
         const std::uint64_t N = *hint;
         // Full windows the stream holds; the plan honors maxWindows
         // exactly as the serial loop does (cap, then drain the rest
         // as skipped records with the early-stop flag set).
-        const std::uint64_t full =
-            N >= W ? (N - W) / S + 1 : 0;
-        const bool capped =
-            opt_.maxWindows > 0 && full >= opt_.maxWindows;
+        const std::uint64_t full = N >= W ? (N - W) / S + 1 : 0;
+        const bool capped = opt_.maxWindows > 0 && full >= opt_.maxWindows;
         const std::uint64_t planned = capped ? opt_.maxWindows : full;
         // The uncapped tail needs checkpoint `full` (the next-window
         // or trailing live-point); a library built over this source
         // always has it, but a foreign prefix falls back to serial.
-        if (planned < 2 ||
-            lib.size() < (capped ? planned : full + 1))
+        if (planned < 2 || lib.size() < (capped ? planned : full + 1))
             return serial();
         if (workers > planned)
             workers = static_cast<unsigned>(planned);
@@ -673,7 +418,6 @@ class SampledEngine
         if (!first_clone)
             return serial();
 
-        const std::uint64_t gap = S - W;
         const std::uint64_t base = planned / workers;
         const std::uint64_t extra = planned % workers;
         std::vector<std::uint64_t> begins(workers);
@@ -691,60 +435,29 @@ class SampledEngine
         // seen-set and shadow LRU identically), so a classifier-only
         // pre-pass over the windows reconstructs, at a small fraction
         // of full replay cost, the exact state a serial run holds
-        // when each worker's first window begins. Simulators that do
-        // not expose the classifier hooks cannot make that guarantee,
-        // so they replay serially.
-        using Sim = std::decay_t<decltype(make_sim())>;
-        constexpr bool seedable =
-            requires(Sim &s, const MissClassifier &c) {
-                { s.classifier() };
-                { s.seedClassifier(c) };
-            };
-        if constexpr (!seedable)
-            return serial();
-
+        // when each worker's first window begins.
         std::vector<MissClassifier> seeds;
         {
             auto probe = make_sim();
-            const MissClassifier *fresh = probe.classifier();
-            if (fresh && workers > 1) {
+            if (const MissClassifier *fresh = probe.classifier()) {
                 auto pre = src.clone();
                 if (!pre)
                     return serial();
-                MissClassifier shadow = *fresh;
+                ShadowSim shadow{*fresh, {}};
                 seeds.reserve(workers - 1);
-                std::vector<trace::Record> buf(
-                    static_cast<std::size_t>(std::min<std::uint64_t>(
-                        trace::TraceSource::defaultChunkRecords, W)));
-                for (std::uint64_t k = 0; k < planned; ++k) {
-                    while (seeds.size() + 1 < workers &&
-                           begins[seeds.size() + 1] == k)
-                        seeds.push_back(shadow);
-                    if (seeds.size() + 1 == workers)
-                        break; // the last batch needs no snapshot
-                    std::uint64_t got = 0;
-                    while (got < W) {
-                        const std::size_t n = pre->next(
-                            buf.data(),
-                            static_cast<std::size_t>(
-                                std::min<std::uint64_t>(buf.size(),
-                                                        W - got)));
-                        if (n == 0)
-                            return serial(); // short stream
-                        for (std::size_t i = 0; i < n; ++i)
-                            shadow.access(buf[i].addr, false);
-                        got += n;
-                    }
-                    if (k + 1 < planned && pre->skip(gap) != gap)
-                        return serial();
-                }
+                std::uint64_t done = 0;
+                walk<Mode::Restore>(
+                    *pre, shadow, &lib, 0, begins.back(),
+                    [&](const WindowSample &) {
+                        if (++done == begins[seeds.size() + 1])
+                            seeds.push_back(shadow.classifier);
+                        return false;
+                    });
+                if (seeds.size() + 1 < workers)
+                    return serial(); // short stream
             }
         }
 
-        struct WindowSample
-        {
-            double missRatio, amat, words;
-        };
         struct WorkerResult
         {
             bool ok = false;
@@ -764,77 +477,19 @@ class SampledEngine
             auto sim = make_sim();
             if (seed)
                 sim.seedClassifier(*seed);
-            std::vector<trace::Record> buf(static_cast<std::size_t>(
-                std::min<std::uint64_t>(
-                    trace::TraceSource::defaultChunkRecords, W)));
-            RunStats prev;
-            for (std::uint64_t k = begin; k < end; ++k) {
-                sim.importState(*lib.checkpointAt(
-                    static_cast<std::size_t>(k)));
-                std::uint64_t got = 0;
-                while (got < W) {
-                    const std::size_t want =
-                        static_cast<std::size_t>(
-                            std::min<std::uint64_t>(buf.size(),
-                                                    W - got));
-                    const std::size_t n =
-                        own->next(buf.data(), want);
-                    if (n == 0)
-                        return; // short stream: planned from a lie
-                    sim.runDetailed(buf.data(), n);
-                    got += n;
-                }
-                res.detailed += W;
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                res.samples.push_back(
-                    {misses / acc, cycles / acc, words / acc});
-                prev = cur;
-                if (k + 1 < end && own->skip(gap) != gap)
-                    return;
-            }
-            if (end == planned && !capped) {
-                // Serial tail: fast-forward the last gap; a short
-                // skip adopts the builder's trailing live-point,
-                // otherwise the next live-point fronts the trailing
-                // partial (possibly empty) window.
-                const std::uint64_t s = own->skip(gap);
-                const ArchState *next = lib.checkpointAt(
-                    static_cast<std::size_t>(full));
-                if (s < gap) {
-                    sim.importState(*next);
-                } else {
-                    sim.importState(*next);
-                    std::uint64_t got = 0;
-                    for (;;) {
-                        const std::size_t want =
-                            static_cast<std::size_t>(
-                                std::min<std::uint64_t>(
-                                    buf.size(), W - got));
-                        if (want == 0)
-                            break;
-                        const std::size_t n =
-                            own->next(buf.data(), want);
-                        if (n == 0)
-                            break;
-                        sim.runDetailed(buf.data(), n);
-                        got += n;
-                    }
-                    res.detailed += got;
-                }
-            }
-            if (end == planned) {
+            // The last worker of an uncapped plan walks on into the
+            // serial tail; every other batch ends with its window.
+            const bool last = end == planned;
+            const Walked walked = walk<Mode::Restore>(
+                *own, sim, &lib, begin, last && !capped ? noLimit : end,
+                [&res](const WindowSample &s) {
+                    res.samples.push_back(s);
+                    return false;
+                });
+            res.detailed = walked.detailed;
+            if (last) {
                 // The run's one finish(), exactly where the serial
-                // loop seals: its write-buffer drain lands in this
+                // walk seals: its write-buffer drain lands in this
                 // worker's (the last) stats segment.
                 sim.finish();
                 res.stats = sim.stats();
@@ -845,7 +500,9 @@ class SampledEngine
                 res.stats = sim.stats();
                 sim.finish();
             }
-            res.ok = true;
+            // A stream shorter or longer than its size hint moved the
+            // windows: the plan was built on a lie.
+            res.ok = res.samples.size() == end - begin;
         };
 
         std::vector<std::future<void>> futures;
@@ -890,17 +547,11 @@ class SampledEngine
             // noise the serial path discards: drop them.
             if (i + 1 < results.size())
                 stats.writeBufferFullStalls = 0;
-            const auto &res = results[i];
             total += stats;
-            for (const auto &s : res.samples) {
-                rep.missRatio.add(s.missRatio);
-                rep.amat.add(s.amat);
-                rep.wordsPerAccess.add(s.words);
-                ++rep.windows;
-            }
-            rep.recordsDetailed += res.detailed;
+            for (const auto &s : results[i].samples)
+                addSample(rep, s);
+            rep.recordsDetailed += results[i].detailed;
         }
-        rep.recordsWarmed = 0;
         rep.recordsSkipped = N - rep.recordsDetailed;
         rep.recordsTotal = N;
         rep.exact = !capped && rep.recordsSkipped == 0;
@@ -919,6 +570,218 @@ class SampledEngine
     }
 
   private:
+    /** What walk() does with each period (see walk()). */
+    enum class Mode
+    {
+        Warmed,  //!< run(): detailed windows, functionally warmed gaps
+        Build,   //!< buildLibrary(): export a live-point per window
+        Restore, //!< runCheckpointed() and the parallel workers
+    };
+
+    /** The library a mode writes (Build) or reads (the others). */
+    template <Mode M>
+    using LibraryFor = std::conditional_t<M == Mode::Build,
+                                          CheckpointLibrary,
+                                          const CheckpointLibrary>;
+
+    /** One complete window's measurements. */
+    struct WindowSample
+    {
+        double missRatio, amat, words;
+    };
+
+    /** Record accounting of one walk. */
+    struct Walked
+    {
+        std::uint64_t detailed = 0;
+        std::uint64_t warmed = 0;
+        std::uint64_t skipped = 0;
+        /** The window callback asked to stop. */
+        bool stopped = false;
+    };
+
+    /**
+     * The classifier alone, as a simulator: walked over the detailed
+     * windows, it yields the classifier state each parallel worker is
+     * seeded with. Restores and statistics are no-ops.
+     */
+    struct ShadowSim
+    {
+        MissClassifier classifier;
+        RunStats none;
+
+        void importState(const ArchState &) {}
+        void runDetailed(const trace::Record *recs, std::size_t n)
+        {
+            for (std::size_t i = 0; i < n; ++i)
+                classifier.access(recs[i].addr, false);
+        }
+        const RunStats &stats() const { return none; }
+    };
+
+    static constexpr std::uint64_t noLimit =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * The one period walker behind every entry point. @p src starts
+     * at window @p first; each period of opt.stride records is a
+     * window of opt.window records and then a gap, handled per mode:
+     *
+     *  - Warmed: the window runs in detail; the gap skips, then
+     *    functionally warms opt.warmup records into the next window;
+     *  - Build: each window start exports a live-point into @p lib;
+     *    window and warmup records replay in warming mode, the skip
+     *    is skipped, and a stream that ends inside the gap appends a
+     *    trailing live-point;
+     *  - Restore: checkpoint k of @p lib is imported before window k,
+     *    the window runs in detail, and the whole gap is skipped (the
+     *    next live-point replaces its warming). A stream that ends
+     *    inside the gap adopts the trailing live-point, so finish()
+     *    seals the state a warmed run reaches through the trailing
+     *    warm records. A library without checkpoint k ends the walk
+     *    like an ended stream.
+     *
+     * Each complete detailed window's sample goes to @p on_window,
+     * which returns true to stop (Walked::stopped; @p src is then just
+     * past that window). Otherwise the walk ends with the stream, or
+     * after window @p last - 1 without its gap. The mode is a template
+     * parameter so that no per-record branch is added.
+     */
+    template <Mode M, class Sim, class OnWindow>
+    Walked
+    walk(trace::TraceSource &src, Sim &sim, LibraryFor<M> *lib,
+         std::uint64_t first, std::uint64_t last,
+         OnWindow &&on_window) const
+    {
+        const std::uint64_t gap = opt_.stride - opt_.window;
+        const std::uint64_t warm =
+            M == Mode::Restore ? 0 : std::min(opt_.warmup, gap);
+        const std::uint64_t skip = gap - warm;
+
+        std::vector<trace::Record> buf(static_cast<std::size_t>(
+            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
+                                    opt_.window)));
+        // Feed up to n records to `step` in chunks; returns how many
+        // the stream had (fewer than n = it ended).
+        const auto feed = [&](std::uint64_t n, auto &&step) {
+            std::uint64_t got = 0;
+            while (got < n) {
+                const std::size_t chunk = src.next(
+                    buf.data(), static_cast<std::size_t>(
+                                    std::min<std::uint64_t>(buf.size(),
+                                                            n - got)));
+                if (chunk == 0)
+                    break;
+                step(buf.data(), chunk);
+                got += chunk;
+            }
+            return got;
+        };
+
+        Walked w;
+        RunStats prev; // stats snapshot at the last window boundary
+        for (std::uint64_t k = first;; ++k) {
+            if constexpr (M == Mode::Build) {
+                // The first one is the fresh simulator; restoring it
+                // is what makes window 0 identical between the warmed
+                // and restored runs.
+                lib->append(sim.exportState());
+            } else if constexpr (M == Mode::Restore) {
+                const ArchState *cp = lib->checkpointAt(k);
+                if (!cp)
+                    break;
+                sim.importState(*cp);
+            }
+
+            // 1. The window: detailed, or warmed when building.
+            const std::uint64_t got =
+                feed(opt_.window, [&sim](const trace::Record *r,
+                                         std::size_t n) {
+                    if constexpr (M == Mode::Build)
+                        sim.runWarming(r, n);
+                    else
+                        sim.runDetailed(r, n);
+                });
+            (M == Mode::Build ? w.warmed : w.detailed) += got;
+            if (got < opt_.window)
+                break;
+            if constexpr (M != Mode::Build) {
+                if (on_window(sampleOf(prev, sim.stats()))) {
+                    w.stopped = true;
+                    break;
+                }
+            }
+            if (k + 1 == last)
+                break;
+
+            // 2. The gap: skip, then warm into the next window.
+            const std::uint64_t skipped = skip > 0 ? src.skip(skip) : 0;
+            w.skipped += skipped;
+            bool ended = skipped < skip;
+            if constexpr (M != Mode::Restore) {
+                if (!ended) {
+                    const std::uint64_t warmed =
+                        feed(warm, [&sim](const trace::Record *r,
+                                          std::size_t n) {
+                            sim.runWarming(r, n);
+                        });
+                    w.warmed += warmed;
+                    ended = warmed < warm;
+                }
+            }
+            if (ended) {
+                if constexpr (M == Mode::Build) {
+                    lib->append(sim.exportState());
+                } else if constexpr (M == Mode::Restore) {
+                    if (const ArchState *tail = lib->checkpointAt(k + 1))
+                        sim.importState(*tail);
+                }
+                break;
+            }
+            // Warmed records moved architectural state but not the
+            // statistics; resnapshot so the next window's delta
+            // covers exactly its own records.
+            prev = sim.stats();
+        }
+        return w;
+    }
+
+    /**
+     * run() and runCheckpointed(): one serial walk, the stopping rule
+     * applied per window, then the report.
+     */
+    template <Mode M, class Sim>
+    SampleReport
+    sampled(trace::TraceSource &src, Sim &sim,
+            const CheckpointLibrary *lib) const
+    {
+        SampleReport rep;
+        rep.confidence = opt_.confidence;
+        const Walked w =
+            walk<M>(src, sim, lib, 0, noLimit,
+                    [&](const WindowSample &s) { return addSample(rep, s); });
+        rep.recordsDetailed = w.detailed;
+        rep.recordsWarmed = w.warmed;
+        // Enough windows: the rest of the stream is skipped unseen.
+        rep.recordsSkipped = w.skipped + (w.stopped ? drainSkip(src) : 0);
+        sim.finish();
+        rep.recordsTotal = rep.recordsDetailed + rep.recordsWarmed +
+                           rep.recordsSkipped;
+        rep.exact = !w.stopped && rep.recordsWarmed == 0 &&
+                    rep.recordsSkipped == 0;
+        rep.detailed = sim.stats();
+        return rep;
+    }
+
+    /** The sample of the window between snapshots @p prev and @p cur. */
+    static WindowSample sampleOf(const RunStats &prev, const RunStats &cur);
+
+    /**
+     * Add @p s to @p rep's samples; returns whether the stopping rule
+     * (maxWindows, or the adaptive error target) now holds.
+     */
+    bool addSample(SampleReport &rep, const WindowSample &s) const;
+
     /** Skip the rest of @p src; returns the records discarded. */
     static std::uint64_t drainSkip(trace::TraceSource &src);
 

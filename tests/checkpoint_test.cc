@@ -9,10 +9,12 @@
  * differential: runCheckpointed() must be bit-identical in RunStats,
  * per-window samples and final architectural state to run() with
  * functional warming, across presets, the fuzz corpus, gap-end edge
- * cases and adaptive/capped runs. Closes with live-point SweepRequests
- * checked against the serial oracle: cold sweeps warm-and-write, warm
- * sweeps hit, corrupt libraries count stale and still produce correct
- * cells.
+ * cases and adaptive/capped runs, plus a boundary grid that walks a
+ * tiny geometry over every stream length and holds the warmed,
+ * restored and parallel replays and the library size to each other.
+ * Closes with live-point SweepRequests checked against the serial
+ * oracle: cold sweeps warm-and-write, warm sweeps hit, corrupt
+ * libraries count stale and still produce correct cells.
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +41,7 @@
 #include "src/sim/sampling.hh"
 #include "src/sim/write_buffer.hh"
 #include "src/trace/trace_source.hh"
+#include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/sweep_oracle.hh"
 
@@ -554,6 +557,75 @@ TEST(CheckpointDifferential, NonCheckpointableGeometryIsRejected)
     opt.stride = 256; // contiguous: nothing to warm, nothing to skip
     const sim::SampledEngine engine(opt);
     EXPECT_FALSE(engine.checkpointable());
+}
+
+// ---------------------------------------------------------------------
+// The window schedule at every boundary: a tiny geometry walked over
+// every stream length, so the stream ends at each position of a
+// period (mid-window, on a window edge, in the skip, in the warmup,
+// on a period edge) and the restored, parallel and warmed replays
+// must still agree.
+
+TEST(SampledBoundaries, EveryStreamLengthAgrees)
+{
+    constexpr std::uint64_t window = 4;
+    constexpr std::uint64_t stride = 16;
+    const auto full = workloads::makeTaggedTrace(workloads::buildMv(30));
+    ASSERT_GE(full.size(), 5 * stride + window);
+    util::ThreadPool pool(4);
+
+    for (const auto *preset : {"soft", "standard"}) {
+        core::Config cfg = core::presets().get(preset);
+        cfg.classifyMisses = true;
+        for (const std::uint64_t warmup : {0u, 5u, 12u}) {
+            for (const std::uint64_t max_windows : {0u, 2u}) {
+                sim::SamplingOptions opt;
+                opt.window = window;
+                opt.stride = stride;
+                opt.warmup = warmup;
+                opt.maxWindows = max_windows;
+                const sim::SampledEngine engine(opt);
+                for (std::uint64_t n = 0; n <= 5 * stride + window; ++n) {
+                    SCOPED_TRACE(std::string(preset) + " warmup " +
+                                 std::to_string(warmup) + " max " +
+                                 std::to_string(max_windows) +
+                                 " length " + std::to_string(n));
+                    trace::Trace t("boundary");
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        t.push(full[i]);
+                    expectCheckpointedMatchesWarmed(cfg, t, opt);
+
+                    sim::CheckpointLibrary lib;
+                    {
+                        core::SoftwareAssistedCache warmer(cfg);
+                        trace::MemoryTraceSource src(t);
+                        engine.buildLibrary(src, warmer, lib);
+                    }
+                    // One live-point per window entered, plus the
+                    // trailing one when the stream ends in a gap.
+                    const std::uint64_t entered = n / stride + 1;
+                    const bool ends_in_gap = n % stride >= window;
+                    EXPECT_EQ(lib.size(), entered + (ends_in_gap ? 1 : 0));
+
+                    core::SoftwareAssistedCache serial_sim(cfg);
+                    trace::MemoryTraceSource src_s(t);
+                    const auto serial =
+                        engine.runCheckpointed(src_s, serial_sim, lib);
+                    for (const unsigned workers : {2u, 3u, 4u}) {
+                        trace::MemoryTraceSource src_p(t);
+                        const auto parallel = engine.runCheckpointedParallel(
+                            src_p, [&cfg] {
+                                return core::SoftwareAssistedCache(cfg);
+                            },
+                            lib, pool, workers);
+                        EXPECT_TRUE(parallel == serial)
+                            << "parallel replay diverged at " << workers
+                            << " workers";
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -201,6 +201,27 @@ TEST(BenchOptionsDeathTest, UnknownFlagIsRejected)
                 testing::ExitedWithCode(2), "unknown flag --trace-chunk");
 }
 
+TEST(BenchOptionsDeathTest, NoFormOfAValueFlagIsRejected)
+{
+    // --no-X parses as X=false, which is no directory or preset name.
+    for (const char *flag :
+         {"--no-emit-json", "--no-checkpoint-dir", "--no-preset"}) {
+        SCOPED_TRACE(flag);
+        const char *argv[] = {"prog", flag};
+        EXPECT_EXIT(harness::BenchOptions::parse(2, argv),
+                    testing::ExitedWithCode(2),
+                    std::string(flag) + " is not a flag");
+    }
+}
+
+TEST(BenchOptionsDeathTest, OnOffFlagRejectsAValue)
+{
+    const char *argv[] = {"prog", "--sample=often"};
+    EXPECT_EXIT(harness::BenchOptions::parse(2, argv),
+                testing::ExitedWithCode(2),
+                "--sample takes no value \\(got 'often'\\)");
+}
+
 TEST(BenchOptions, EveryOwnFlagParses)
 {
     const char *argv[] = {"prog",
@@ -236,6 +257,16 @@ TEST(BenchOptions, EveryOwnFlagParses)
                                "--emit-json", "dir"};
     EXPECT_EQ(harness::BenchOptions::parse(5, forwarded).emitJsonDir,
               "dir");
+
+    // The --no-X form of an on/off flag turns it off.
+    const char *off[] = {"prog", "--no-sample", "--no-heatmap",
+                         "--no-checkpoint-rebuild"};
+    const auto none = harness::BenchOptions::parse(4, off);
+    EXPECT_FALSE(none.sample);
+    EXPECT_FALSE(none.heatmap);
+    EXPECT_FALSE(none.checkpointRebuild);
+    const char *explicit_on[] = {"prog", "--sample=true"};
+    EXPECT_TRUE(harness::BenchOptions::parse(2, explicit_on).sample);
 }
 
 TEST(BenchOptions, ArgsEntryLeavesCallerFlagsAlone)

@@ -9,10 +9,15 @@
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
 #   tools/check.sh perf         # throughput gate: bench_simspeed vs
 #                               # BENCH_simspeed.json (tools/perf_compare.py)
-#   tools/check.sh sampling     # sampled-vs-full differential: the
-#                               # SampledDifferential dual-replay on the
-#                               # reduced fuzz corpus + paper workloads,
-#                               # warming-state equality, CI math
+#   tools/check.sh sampling     # the sampled engine under ASan+UBSan
+#                               # (UB fatal, libstdc++ assertions on):
+#                               # the SampledDifferential dual-replay
+#                               # on the reduced fuzz corpus + paper
+#                               # workloads, warming-state equality,
+#                               # CI math, the restored and parallel
+#                               # window replays against the warmed
+#                               # one, and the boundary grid over
+#                               # every stream length
 #   tools/check.sh stack        # stack-vs-exact differential under ASan:
 #                               # the single-pass stack engine against
 #                               # exact replay on presets + fuzz corpus,
@@ -148,18 +153,27 @@ for mode in "${modes[@]}"; do
     fi
     if [[ "$mode" == "sampling" ]]; then
         # Sampling leg: prove the statistical sampling engine against
-        # ground truth — sampled-vs-full dual replay on the reduced
-        # fuzz corpus and the paper workloads, warming-vs-detailed
-        # bit-for-bit state equality, and the interval-coverage math.
+        # ground truth under ASan+UBSan, with UB fatal — sampled-vs-
+        # full dual replay on the reduced fuzz corpus and the paper
+        # workloads, warming-vs-detailed bit-for-bit state equality,
+        # the interval-coverage math, and the one period walker in all
+        # three modes: the restored and parallel window replays
+        # against the warmed one, at every stream length of a tiny
+        # geometry.
         build_dir="build-check-sampling"
         echo "=== [sampling] configure + build (${build_dir}) ==="
-        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="address" \
+            -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+            -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+            > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
-            --target sac_test_sampling_test
-        echo "=== [sampling] ctest (sampled dual-replay) ==="
+            --target sac_test_sampling_test \
+            --target sac_test_checkpoint_test \
+            --target sac_test_parallel_test
+        echo "=== [sampling] ctest (sampled dual-replay, walker modes) ==="
         ctest --test-dir "${build_dir}" --output-on-failure \
-            -j "$(nproc)" -R 'Sampl|Warming'
+            -j "$(nproc)" \
+            -R 'Sampl|Warming|CheckpointDifferential|ParallelWindowDifferential|SampledBoundaries'
         echo "=== [sampling] OK ==="
         continue
     fi
